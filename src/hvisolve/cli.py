@@ -63,7 +63,6 @@ DEFAULTS = {
     "policy": "all",
     "max_branches": 64,
     "out": "hvi_out",
-    "seed": 0,
 }
 
 
@@ -79,7 +78,6 @@ class ExperimentConfig:
     policy: str
     max_branches: int
     out: str
-    seed: int
 
     def __post_init__(self):
         if self.potential is None:
@@ -107,7 +105,7 @@ def read_kv_file(path):
     return out
 
 
-_CASTS = {"nx": int, "dt": float, "T": float, "max_branches": int, "seed": int}
+_CASTS = {"nx": int, "dt": float, "T": float, "max_branches": int}
 
 
 def merge_config(args):
@@ -375,7 +373,6 @@ def _add_experiment_flags(p):
     p.add_argument("--policy", choices=BRANCH_POLICIES)
     p.add_argument("--max-branches", type=int, dest="max_branches")
     p.add_argument("--out", help="output directory (HVI_OUT env var overrides)")
-    p.add_argument("--seed", type=int, help="seed recorded for randomized corpora")
 
 
 def build_parser():

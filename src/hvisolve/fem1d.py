@@ -67,9 +67,6 @@ class TridiagonalSystem:
     def size(self):
         return len(self.diag)
 
-    def copy(self):
-        return TridiagonalSystem(self.lower.copy(), self.diag.copy(), self.upper.copy())
-
     def __add__(self, other):
         return TridiagonalSystem(
             self.lower + other.lower, self.diag + other.diag, self.upper + other.upper

@@ -4,14 +4,21 @@ Each step solves the discrete inclusion
 
     (M/tau + K) a + e_n * dj(a_n)  ∋  M*prev/tau + f_k,
 
-where dj is a multivalued boundary graph acting on the last nodal value.  The
-unknown can sit on any affine segment of the graph (fold its slope/intercept
-into the last row, solve, check the segment interval) or on a vertical segment
-(pin a_n, solve the reduced system, check the back-computed flux against the
-vertical interval).  Every segment is tried, so the complete solution set of
-the step is recovered; at most one solution per segment exists.
+where dj is a multivalued boundary graph acting on the last nodal value.
+Eliminating the interior unknowns (the Schur complement of A = M/tau + K at
+the boundary node) leaves one scalar relation: a boundary value r requires
+the flux xi = e0 - g*r, and the interior is then y - r*w.  The slope g and the
+interior response w depend only on (mesh, tau) and are built once; each
+parent state costs one interior solve for y and e0.  Every graph segment is
+then intersected with the line xi = e0 - g*r by one scalar test: an affine
+segment gives r = (e0 - intercept)/(g + slope), checked against its interval;
+a vertical segment at r0 checks e0 - g*r0 against its flux interval.  A
+segment parallel to the line has no solution or a continuum of them; both are
+reported, never skipped silently.  Otherwise each segment holds at most one
+solution, so trying every segment recovers the complete solution set.
 """
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -19,17 +26,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem1d import (
-    SingularSystemError,
+    Mesh1D,
     TridiagonalSystem,
     assemble_mass,
     assemble_stiffness,
     solve_tridiagonal,
 )
-from .nonsmooth import AffineSegment, VerticalSegment
+from .nonsmooth import VerticalSegment
 
 log = logging.getLogger(__name__)
 
 ACCEPT_TOL = 1e-12  # interval membership when accepting a segment's candidate
+PARALLEL_RTOL = 1e-12  # |g + slope| <= PARALLEL_RTOL*g: segment parallel to the Schur line
 
 BRANCH_POLICIES = ("all", "min_boundary", "max_boundary", "first")
 
@@ -164,66 +172,88 @@ def project_initial(mesh, u0):
     return np.array([float(u0(x)) for x in mesh.nodes])
 
 
-def _fold_affine(system, rhs, seg):
-    sys2 = system.copy()
-    sys2.diag[-1] = sys2.diag[-1] + seg.slope
-    rhs2 = rhs.copy()
-    rhs2[-1] -= seg.intercept
-    return sys2, rhs2
+@dataclass(frozen=True)
+class _SchurOperator:
+    """What one backward-Euler step needs of (mesh, tau), built once.
+
+    ``interior`` is A = M/tau + K without its last row and column, and
+    ``coupling`` the entry joining the interior to the boundary node.
+    ``w = interior^{-1} A[:-1, -1]`` and the Schur complement
+    ``g = A[-1, -1] - coupling * w[-1]`` turn the last equation into
+    xi = e0 - g*r.
+    """
+
+    mass: TridiagonalSystem
+    interior: TridiagonalSystem
+    coupling: float
+    w: np.ndarray
+    g: float
 
 
-def _solve_pinned(system, rhs, r_star):
-    """Solve with the last unknown pinned to r_star; return (state, required flux)."""
-    n = system.size
-    red = TridiagonalSystem(system.lower[: n - 2], system.diag[: n - 1], system.upper[: n - 2])
-    rhs_red = rhs[: n - 1].copy()
-    rhs_red[-1] -= system.upper[n - 2] * r_star
-    state = np.empty(n)
-    state[: n - 1] = solve_tridiagonal(red, rhs_red)
-    state[-1] = r_star
-    flux = rhs[-1] - (system.lower[n - 2] * state[n - 2] + system.diag[-1] * r_star)
-    return state, float(flux)
+@functools.lru_cache(maxsize=16)
+def _schur_operator(n, dx, tau):
+    # Keyed on plain numbers, not on the mesh: Mesh1D(2, Fraction(1, 2)) and
+    # Mesh1D(2, 0.5) compare and hash equal.
+    mesh = Mesh1D(n, dx)
+    mass = assemble_mass(mesh)
+    a = mass.scaled(1.0 / tau) + assemble_stiffness(mesh)
+    interior = TridiagonalSystem(a.lower[:-1], a.diag[:-1], a.upper[:-1])
+    coupling = float(a.upper[-1])
+    col = np.zeros(n - 1)
+    col[-1] = coupling
+    w = solve_tridiagonal(interior, col)
+    w.setflags(write=False)  # shared by every caller of the cache
+    g = float(a.diag[-1] - a.lower[-1] * w[-1])
+    return _SchurOperator(mass, interior, coupling, w, g)
+
+
+def _parallel_message(seg, e0):
+    if abs(e0 - seg.intercept) <= PARALLEL_RTOL * max(1.0, abs(e0), abs(seg.intercept)):
+        return "continuum of solutions: segment lies on the Schur line for r in [%r, %r]" % (
+            seg.r_lo, seg.r_hi)
+    return "no solution: segment parallel to the Schur line, flux offset %r" % (
+        e0 - seg.intercept,)
 
 
 def rothe_step_all(mesh, graph, prev, tau, f_k=None, dedupe_tol=1e-10, failures=None):
     """All solutions of one backward-Euler step, as StepSolution records.
 
-    Segments are tried left to right along the graph.  A singular folded
-    system (a negative segment slope cancelling the pivot) is reported into
-    ``failures`` and skipped; the other segments still run.  An empty result
-    means the step has no solution at all.
+    Segments are tried left to right along the graph.  An affine segment
+    parallel to the Schur line (no solution, or a continuum of them) is
+    reported into ``failures`` as (case tag, message) and yields no
+    solution; the other segments still run.  An empty result means the step
+    has no isolated solution at all.
     """
-    prev = np.asarray(prev, dtype=float)
-    system = assemble_mass(mesh).scaled(1.0 / tau) + assemble_stiffness(mesh)
-    rhs = assemble_mass(mesh).matvec(prev) / tau
+    op = _schur_operator(mesh.n, float(mesh.dx), float(tau))
+    rhs = op.mass.matvec(np.asarray(prev, dtype=float)) / tau
     if f_k is not None:
         rhs = rhs + np.asarray(f_k, dtype=float)
+    y = solve_tridiagonal(op.interior, rhs[:-1])
+    e0 = float(rhs[-1] - op.coupling * y[-1])
+    g = op.g
 
     found = []
     for idx, seg in enumerate(graph.segments):
-        if isinstance(seg, AffineSegment):
-            tag = "a%d" % idx
-            sys2, rhs2 = _fold_affine(system, rhs, seg)
-            try:
-                state = solve_tridiagonal(sys2, rhs2)
-            except SingularSystemError as err:
-                log.debug("segment %s singular: %s", tag, err)
-                if failures is not None:
-                    failures.append((tag, str(err)))
-                continue
-            if seg.contains(state[-1], ACCEPT_TOL):
-                found.append(StepSolution(state, tag, seg.value(state[-1])))
-        else:
+        if isinstance(seg, VerticalSegment):
             tag = "v%d" % idx
-            try:
-                state, flux = _solve_pinned(system, rhs, seg.r)
-            except SingularSystemError as err:
-                log.debug("segment %s singular: %s", tag, err)
-                if failures is not None:
-                    failures.append((tag, str(err)))
+            r = seg.r
+            flux = e0 - g * r
+            if not seg.xi_lo - ACCEPT_TOL <= flux <= seg.xi_hi + ACCEPT_TOL:
                 continue
-            if seg.xi_lo - ACCEPT_TOL <= flux <= seg.xi_hi + ACCEPT_TOL:
-                found.append(StepSolution(state, tag, flux))
+        else:
+            tag = "a%d" % idx
+            s = g + seg.slope
+            if abs(s) <= PARALLEL_RTOL * g:
+                msg = _parallel_message(seg, e0)
+                log.debug("segment %s: %s", tag, msg)
+                if failures is not None:
+                    failures.append((tag, msg))
+                continue
+            r = (e0 - seg.intercept) / s
+            if not seg.contains(r, ACCEPT_TOL):
+                continue
+            flux = seg.value(r)
+        found.append(StepSolution(np.append(y - r * op.w, r), tag, flux))
 
     unique = []
     for sol in found:

@@ -1,0 +1,27 @@
+"""The traced benchmark still finds every library name it wraps.
+
+``bench/tracing.py`` patches hvisolve functions by module and attribute name;
+a rename, or a step that stops calling a wrapped name, would otherwise only
+show up when the benchmark runs traced.
+"""
+
+from pathlib import Path
+
+from hvisolve.cli import main
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_traced_selftest_workload_records_steps(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+    import workloads
+
+    monkeypatch.setenv("HVI_OUT", str(tmp_path))
+    tracer = tracing.Tracer().install()
+    try:
+        rc = main(list(workloads.SELFTEST.argv))
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    assert tracer.metrics()["rothe.step_calls"] > 0

@@ -143,7 +143,7 @@ def test_check_uniqueness_constants(tmp_path, capsys):
 def test_byte_identical_reruns(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
-        assert _run_cli("run", *J2_SMALL, "--seed", "3", "--out", str(out)) == 0
+        assert _run_cli("run", *J2_SMALL, "--out", str(out)) == 0
     for name in ("trajectory.csv", "surface.csv", "norms.csv", "plot.gp"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 

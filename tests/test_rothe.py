@@ -21,7 +21,7 @@ from hvisolve import (
     zero_flux_graph,
 )
 from hvisolve.analysis import _NormKit
-from oracles import schur_scan_solutions
+from oracles import random_potential, schur_scan_solutions
 
 
 def test_config_validation():
@@ -90,6 +90,20 @@ def test_step_singular_segment_reported_and_skipped():
     assert len(failures) == 1 and failures[0][0] == "a0"
 
 
+def test_step_parallel_segment_classified():
+    # Schur line of n=2, dx=1/2, tau=1/12, prev=[2, 2]: xi = 7.25 - 3.875*r;
+    # a segment of slope -3.875 is parallel to it, on it or beside it
+    mesh = Mesh1D(2, 0.5)
+    for intercept, verdict in ((7.25, "continuum"), (0.0, "no solution")):
+        pot = PiecewiseQuadraticPotential([], [(-1.9375, intercept, 0.0)])
+        failures = []
+        sols = rothe_step_all(mesh, clarke_subdifferential(pot), np.array([2.0, 2.0]),
+                              tau=1 / 12, failures=failures)
+        assert sols == []
+        assert len(failures) == 1 and failures[0][0] == "a0"
+        assert verdict in failures[0][1]
+
+
 def test_singular_segment_does_not_abort_other_segments():
     # first piece reproduces the singular fold; the flat piece after the
     # breakpoint still yields a solution
@@ -118,23 +132,40 @@ def test_run_records_dead_tree():
 def test_step_enumeration_matches_scan_oracle():
     rng = np.random.default_rng(42)
     graphs = [clarke_subdifferential(p()) for p in (potential_j1, potential_j2)]
-    branched = 0
+    cases = []
     for trial in range(20):
         n = int(rng.integers(2, 5))
-        mesh = Mesh1D.uniform(n)
         tau = float(rng.uniform(0.05, 0.2))
         if trial % 2 == 0:
             prev = rng.uniform(0.7, 1.3, n)  # near the nonmonotone jump: branching likely
         else:
             prev = rng.uniform(-0.5, 2.5, n)
-        graph = graphs[trial % 2]
+        cases.append((Mesh1D.uniform(n), graphs[trial % 2], prev, tau))
+    # random graphs bring negative slopes and several vertical segments;
+    # data near a breakpoint put solutions on them
+    rng = np.random.default_rng(7)
+    for trial in range(40):
+        pot = random_potential(rng)
+        n = int(rng.integers(2, 6))
+        tau = float(rng.uniform(0.05, 0.2))
+        prev = rng.choice(pot.breakpoints) + rng.uniform(-0.3, 0.3, n)
+        cases.append((Mesh1D.uniform(n), clarke_subdifferential(pot), prev, tau))
+    branched = 0
+    kinds = set()
+    for trial, (mesh, graph, prev, tau) in enumerate(cases):
         sols = rothe_step_all(mesh, graph, prev, tau)
         got = sorted(s.state[-1] for s in sols)
         want = schur_scan_solutions(mesh, graph, prev, tau)
         assert len(got) == len(want), (trial, got, want)
         assert np.allclose(got, want, atol=1e-6), trial
         branched += len(got) > 1
+        if trial < 20:
+            continue
+        for s in sols:
+            slope = getattr(graph.segments[int(s.case_tag[1:])], "slope", None)
+            kinds.add("vertical" if slope is None else "falling" if slope < 0 else "rising")
     assert branched >= 2  # the corpus must actually exercise multiplicity
+    assert kinds == {"vertical", "falling", "rising"}
 
 
 def test_run_j2_single_branch():
