@@ -25,6 +25,7 @@ from .fem1d import (
     assemble_mass,
     assemble_stiffness,
     dual_norm,
+    factor_ldl,
     norm_H,
     norm_V,
     solve_tridiagonal,

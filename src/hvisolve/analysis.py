@@ -3,7 +3,12 @@ empirical bound suites, and the convergence-study harness.
 
 Norm conventions: the discrete dual norm of a step function's time derivative
 uses the action vector M*(u^k - u^{k-1})/tau of the difference quotient, i.e.
-the image of the H-inner product, measured through the (M+K)-Riesz solve.
+the image of the H-inner product, measured through the (M+K)-Riesz map:
+||g||_{V*}^2 = g^T (M+K)^{-1} g.  With M+K = L D L^T factored once per mesh,
+that is the Euclidean norm of the whitened vector y = D^{-1/2} L^{-1} g.  All
+snapshots are whitened together, y_k = D^{-1/2} L^{-1} M u^k, in one forward
+sweep; the dual norm of (u^j - u^k, .)_H is then ||y_j - y_k||_2, with the
+difference taken after the map, so no Gram-matrix cancellation enters.
 """
 
 import math
@@ -11,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem1d import assemble_mass, assemble_stiffness, solve_tridiagonal
+from .fem1d import assemble_mass, assemble_stiffness, factor_ldl, solve_tridiagonal
 from .rothe import RotheConfig, run
 
 
@@ -35,12 +40,18 @@ class NormReport:
 
 
 class _NormKit:
-    """Prebuilt matrices for repeated norm evaluations on one mesh."""
+    """Prebuilt matrices for repeated norm evaluations on one mesh.
+
+    M+K = L D L^T is factored once; ``whiten`` maps action vectors g to
+    D^{-1/2} L^{-1} g, whose Euclidean norm is the dual norm of g.
+    """
 
     def __init__(self, mesh):
         self.mesh = mesh
         self.M = assemble_mass(mesh)
         self.MK = self.M + assemble_stiffness(mesh)
+        self.L, pivots = factor_ldl(self.MK)
+        self.sqrt_d = np.sqrt(pivots)
 
     def h(self, c):
         return math.sqrt(max(0.0, c @ self.M.matvec(c)))
@@ -48,13 +59,25 @@ class _NormKit:
     def v_sq(self, c):
         return max(0.0, float(c @ self.MK.matvec(c)))
 
+    def whiten(self, g):
+        """D^{-1/2} L^{-1} g for an action vector, or for each column of an
+        (n, m) array, returned as m rows."""
+        return solve_tridiagonal(self.L, g).T / self.sqrt_d
+
+    def whiten_h_embeddings(self, coeffs):
+        """Rows D^{-1/2} L^{-1} M c for each coefficient vector c in ``coeffs``."""
+        return self.whiten(np.stack([self.M.matvec(c) for c in coeffs], axis=1))
+
     def dual(self, g):
-        w = solve_tridiagonal(self.MK, g)
-        return math.sqrt(max(0.0, g @ w))
+        return _euclidean(self.whiten(g))
 
     def dual_of_h_embedding(self, c):
         """Dual norm of the functional v -> (c, v)_H, action vector M*c."""
         return self.dual(self.M.matvec(c))
+
+
+def _euclidean(y):
+    return math.sqrt(y @ y)
 
 
 def interpolant_norms(mesh, pc, pl):
@@ -68,9 +91,10 @@ def interpolant_norms(mesh, pc, pl):
     l2V = math.sqrt(tau * sum(kit.v_sq(s) for s in snaps[1:]))
     linfH = max(h_norms[1:])
     cH = max(h_norms)
-    d_dual = [kit.dual_of_h_embedding(d / tau) for d in pc.differences()]
-    l2Vstar_du = math.sqrt(tau * sum(v * v for v in d_dual))
-    bv2 = bv2_seminorm(list(snaps), kit.dual_of_h_embedding)
+    y = kit.whiten_h_embeddings(snaps)
+    dy = (y[1:] - y[:-1]) / tau
+    l2Vstar_du = math.sqrt(tau * sum(v @ v for v in dy))
+    bv2 = bv2_seminorm(list(y), _euclidean)
     return NormReport(l2V, linfH, cH, l2Vstar_du, bv2)
 
 
@@ -84,13 +108,9 @@ def l2_vstar_gap(mesh, pc, pl):
     kit = _NormKit(mesh)
     tau = pc.tau
     offsets = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
-    total = 0.0
-    for k in range(1, pc.num_steps + 1):
-        for theta in offsets:
-            t = (k - 1 + theta) * tau
-            diff = pc(t) - pl(t)
-            total += 0.5 * tau * kit.dual_of_h_embedding(diff) ** 2
-    return math.sqrt(total)
+    times = [(k - 1 + theta) * tau for k in range(1, pc.num_steps + 1) for theta in offsets]
+    y = kit.whiten_h_embeddings([pc(t) - pl(t) for t in times])
+    return math.sqrt(sum(0.5 * tau * (v @ v) for v in y))
 
 
 def bv2_seminorm(values, norm):

@@ -7,8 +7,10 @@ HVI_OUT overrides the output directory.
 """
 
 import argparse
+import ast
 import csv
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -149,27 +151,76 @@ def parse_potential(cfg):
     return pot, clarke_subdifferential(pot)
 
 
-_EXPR_NAMES = {
+_EXPR_FUNCTIONS = {
     "sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt,
-    "pi": math.pi, "abs": abs, "min": min, "max": max,
+    "abs": abs, "min": min, "max": max,
+}
+_EXPR_CONSTANTS = {"pi": math.pi}
+
+_EXPR_OPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow,
 }
 
 
+def _eval_expr(node, x):
+    """Value of a whitelisted u0 expression node at x, as a finite float.
+
+    Numbers, ``x``, _EXPR_CONSTANTS, calls of _EXPR_FUNCTIONS, the binary
+    operators + - * / ** and unary minus; anything else raises ValueError.
+    """
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        value = float(node.value)  # float powers overflow instead of growing
+    elif isinstance(node, ast.Name) and node.id == "x":
+        value = x
+    elif isinstance(node, ast.Name) and node.id in _EXPR_CONSTANTS:
+        value = _EXPR_CONSTANTS[node.id]
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        value = -_eval_expr(node.operand, x)
+    elif isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPS:
+        value = _EXPR_OPS[type(node.op)](_eval_expr(node.left, x), _eval_expr(node.right, x))
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+          and node.func.id in _EXPR_FUNCTIONS and not node.keywords):
+        value = _EXPR_FUNCTIONS[node.func.id](*(_eval_expr(arg, x) for arg in node.args))
+    else:
+        raise ValueError("%r is not allowed" % ast.unparse(node))
+    value = float(value)  # a negative base to a fractional power gives a complex
+    if not math.isfinite(value):
+        raise ValueError("%r is %r" % (ast.unparse(node), value))
+    return value
+
+
 def parse_u0(text):
+    """Initial datum from ``const:VALUE`` or ``expr:EXPRESSION`` in x.
+
+    Expressions are evaluated node by node over a whitelist (see _eval_expr);
+    any failure or non-finite value, at parse time or at a mesh node, is a
+    ConfigError.
+    """
     if text.startswith("const:"):
         try:
             value = float(text[6:])
         except ValueError as err:
             raise ConfigError("bad u0 constant %r" % text) from err
+        if not math.isfinite(value):
+            raise ConfigError("u0 constant must be finite, got %r" % text)
         return lambda x: value
     if text.startswith("expr:"):
         expr = text[5:]
         try:
-            code = compile(expr, "<u0>", "eval")
-            eval(code, {"__builtins__": {}}, dict(_EXPR_NAMES, x=0.5))
-        except Exception as err:
+            body = ast.parse(expr, "<u0>", mode="eval").body
+        except (SyntaxError, ValueError, RecursionError, MemoryError) as err:
             raise ConfigError("bad u0 expression %r: %s" % (expr, err)) from err
-        return lambda x: float(eval(code, {"__builtins__": {}}, dict(_EXPR_NAMES, x=x)))
+
+        def u0(x):
+            x = float(x)
+            try:
+                return _eval_expr(body, x)
+            except (ArithmeticError, ValueError, TypeError, RecursionError) as err:
+                raise ConfigError("bad u0 expression %r at x=%r: %s" % (expr, x, err)) from err
+
+        u0(0.5)
+        return u0
     raise ConfigError("u0 must look like const:VALUE or expr:EXPRESSION, got %r" % text)
 
 

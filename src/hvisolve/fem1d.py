@@ -114,13 +114,18 @@ def assemble_stiffness(mesh):
 
 
 def solve_tridiagonal(sys, rhs):
-    """Thomas elimination; raises SingularSystemError on |pivot| < 1e-14."""
+    """Thomas elimination; raises SingularSystemError on |pivot| < 1e-14.
+
+    ``rhs`` is a vector or an (n, m) array; an array is solved for all m
+    columns in one sweep over the rows, with the same arithmetic per column
+    as the vector solve.
+    """
     n = sys.size
     rhs = np.asarray(rhs, dtype=float)
-    if len(rhs) != n:
-        raise ValueError("rhs length %d != system size %d" % (len(rhs), n))
+    if rhs.ndim not in (1, 2) or len(rhs) != n:
+        raise ValueError("rhs shape %s does not fit system size %d" % (rhs.shape, n))
     c = np.empty(n - 1) if n > 1 else np.empty(0)
-    d = np.empty(n)
+    d = np.empty(rhs.shape)
     piv = sys.diag[0]
     if abs(piv) < PIVOT_TOL:
         raise SingularSystemError("zero pivot at row 0")
@@ -134,11 +139,33 @@ def solve_tridiagonal(sys, rhs):
         d[i] = (rhs[i] - sys.lower[i - 1] * d[i - 1]) / piv
         if i < n - 1:
             c[i] = sys.upper[i] / piv
-    x = np.empty(n)
+    x = np.empty(rhs.shape)
     x[-1] = d[-1]
     for i in range(n - 2, -1, -1):
         x[i] = d[i] - c[i] * x[i + 1]
     return x
+
+
+def factor_ldl(sys):
+    """Symmetric tridiagonal A = L D L^T with L unit lower bidiagonal.
+
+    Returns L as a TridiagonalSystem with a zero upper diagonal, so that
+    ``solve_tridiagonal(L, b)`` is the forward sweep L^{-1} b, and the pivots
+    D as a vector.  Raises SingularSystemError on |pivot| < 1e-14.
+    """
+    if not np.array_equal(sys.lower, sys.upper):
+        raise ValueError("LDL^T factorization needs a symmetric matrix")
+    n = sys.size
+    d = np.empty(n)
+    low = np.empty(n - 1)
+    for i in range(n):
+        d[i] = sys.diag[i]
+        if i > 0:
+            low[i - 1] = sys.lower[i - 1] / d[i - 1]
+            d[i] -= low[i - 1] * sys.upper[i - 1]
+        if abs(d[i]) < PIVOT_TOL:
+            raise SingularSystemError("zero pivot at row %d" % i)
+    return TridiagonalSystem(low, np.ones(n), np.zeros(n - 1)), d
 
 
 def norm_H(mesh, coeffs):

@@ -6,6 +6,7 @@ of segment folding, exhaustive subsequence enumeration instead of dynamic
 programming, and finite differences instead of exact graph values.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -23,6 +24,18 @@ def dense_step_matrix(mesh, tau):
     m = assemble_mass(mesh).to_dense().astype(float)
     k = assemble_stiffness(mesh).to_dense().astype(float)
     return m, m / tau + k
+
+
+@functools.lru_cache(maxsize=8)
+def _dense_mass_plus_stiffness(mesh):
+    return (assemble_mass(mesh).to_dense() + assemble_stiffness(mesh).to_dense()).astype(float)
+
+
+def dense_dual_norm(mesh, g):
+    """sqrt(g^T (M+K)^{-1} g) from a dense solve: the discrete V* norm of the
+    functional with action vector g."""
+    g = np.asarray(g, dtype=float)
+    return float(np.sqrt(g @ np.linalg.solve(_dense_mass_plus_stiffness(mesh), g)))
 
 
 def schur_scan_solutions(mesh, graph, prev, tau, f_k=None, grid=1e-5, tol=1e-9):

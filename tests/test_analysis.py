@@ -10,6 +10,7 @@ from hvisolve import (
     StudyProblem,
     apriori_bound_suite,
     assemble_mass,
+    assemble_stiffness,
     bv2_seminorm,
     check_conditions,
     clarke_subdifferential,
@@ -24,7 +25,7 @@ from hvisolve import (
     run,
     zero_flux_graph,
 )
-from oracles import brute_force_bv2
+from oracles import brute_force_bv2, dense_dual_norm
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +84,44 @@ def test_interpolant_norms_reject_mismatched_paths():
     _, pl = make_interpolants([np.ones(3)] * 3, tau=0.5)
     with pytest.raises(ValueError):
         interpolant_norms(mesh, pc, pl)
+
+
+def _dense_norm_report(mesh, snaps, tau):
+    """The five NormReport fields from dense matrices and the dense dual norm."""
+    m = assemble_mass(mesh).to_dense().astype(float)
+    mk = m + assemble_stiffness(mesh).to_dense().astype(float)
+    h = [math.sqrt(s @ m @ s) for s in snaps]
+    l2V = math.sqrt(tau * sum(s @ mk @ s for s in snaps[1:]))
+    du = [dense_dual_norm(mesh, m @ (b - a) / tau) for a, b in zip(snaps, snaps[1:])]
+    l2Vstar_du = math.sqrt(tau * sum(v * v for v in du))
+    bv2 = brute_force_bv2(list(snaps), lambda v: dense_dual_norm(mesh, m @ v))
+    return [l2V, max(h[1:]), max(h), l2Vstar_du, bv2]
+
+
+def test_interpolant_norms_match_dense_oracle():
+    rng = np.random.default_rng(29)
+    for _ in range(12):
+        n = int(rng.integers(2, 13))
+        steps = int(rng.integers(1, 7))
+        tau = float(rng.uniform(0.01, 0.5))
+        snaps = rng.uniform(-2, 2, (steps + 1, n))
+        mesh = Mesh1D.uniform(n)
+        pc, pl = make_interpolants(snaps, tau)
+        got = interpolant_norms(mesh, pc, pl).csv_row()
+        assert got == pytest.approx(_dense_norm_report(mesh, snaps, tau), rel=1e-12)
+
+
+def test_bv2_of_paper_j2_path_matches_dense_oracle():
+    mesh = Mesh1D.uniform(100)
+    cfg = RotheConfig.from_step(0.01, 1.0)
+    tree = run(cfg, mesh, clarke_subdifferential(potential_j2()), lambda x: 2.0,
+               branch_policy="first")
+    states = tree.chain_states()
+    assert len(states) == 101
+    pc, pl = make_interpolants(states, cfg.tau)
+    m = assemble_mass(mesh).to_dense().astype(float)
+    want = bv2_seminorm(states, lambda v: dense_dual_norm(mesh, m @ v))
+    assert interpolant_norms(mesh, pc, pl).bv2_Vstar == pytest.approx(want, rel=1e-12)
 
 
 def test_gap_equals_scaled_derivative_norm_pure_heat():

@@ -195,6 +195,18 @@ def test_u0_expression(tmp_path):
                     "--out", str(out)) == 1
 
 
+@pytest.mark.parametrize("u0", [
+    "const:nan",  # non-finite constant
+    "expr:sqrt(x-0.5)",  # fine at x = 0.5, math domain error at the left nodes
+    "expr:().__class__.__name__.__len__()",  # attribute access outside the whitelist
+])
+def test_u0_rejects_bad_input(tmp_path, capsys, u0):
+    code = _run_cli("run", "--potential", "j2", "--nx", "10", "--dt", "0.05", "--T", "0.2",
+                    "--u0", u0, "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_dump_matrices(tmp_path):
     out = tmp_path / "o"
     assert _run_cli("run", *J2_SMALL, "--out", str(out), "--dump-matrices") == 0

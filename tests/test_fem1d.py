@@ -10,6 +10,7 @@ from hvisolve import (
     assemble_mass,
     assemble_stiffness,
     dual_norm,
+    factor_ldl,
     norm_H,
     norm_V,
     solve_tridiagonal,
@@ -112,6 +113,53 @@ def test_solve_rejects_singular_pivot():
     sys_ = TridiagonalSystem(np.array([1.0]), np.array([0.0, 1.0]), np.array([1.0]))
     with pytest.raises(SingularSystemError):
         solve_tridiagonal(sys_, np.array([1.0, 1.0]))
+
+
+def test_solve_multi_column_matches_vector_and_dense_solves():
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 8, 17):
+        lower, upper = rng.uniform(-1, 1, n - 1), rng.uniform(-1, 1, n - 1)
+        diag = 3.0 + rng.uniform(0, 1, n)  # diagonally dominant
+        sys_ = TridiagonalSystem(lower, diag, upper)
+        rhs = rng.uniform(-2, 2, (n, 5))
+        x = solve_tridiagonal(sys_, rhs)
+        assert x.shape == (n, 5)
+        for j in range(5):
+            assert np.array_equal(x[:, j], solve_tridiagonal(sys_, rhs[:, j]))
+        dense = np.linalg.solve(sys_.to_dense(), rhs)
+        assert np.max(np.abs(x - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_solve_multi_column_rejects_singular_pivot():
+    first = TridiagonalSystem(np.array([1.0]), np.array([0.0, 1.0]), np.array([1.0]))
+    second = TridiagonalSystem(np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0]))
+    for sys_ in (first, second):
+        with pytest.raises(SingularSystemError):
+            solve_tridiagonal(sys_, np.ones((2, 3)))
+
+
+def test_solve_rejects_mismatched_rhs():
+    sys_ = TridiagonalSystem(np.zeros(2), np.ones(3), np.zeros(2))
+    for rhs in (np.ones(2), np.ones((4, 2)), np.ones((3, 2, 2))):
+        with pytest.raises(ValueError):
+            solve_tridiagonal(sys_, rhs)
+
+
+def test_ldl_factor_reconstructs_and_whitens():
+    mesh = Mesh1D.uniform(9)
+    mk = assemble_mass(mesh) + assemble_stiffness(mesh)
+    low, d = factor_ldl(mk)
+    l_dense = low.to_dense()
+    assert np.allclose(l_dense @ np.diag(d) @ l_dense.T, mk.to_dense(), rtol=0, atol=1e-12)
+    g = np.random.default_rng(4).uniform(-1, 1, (mesh.n, 3))
+    assert np.allclose(solve_tridiagonal(low, g), np.linalg.solve(l_dense, g), rtol=0, atol=1e-12)
+
+
+def test_ldl_factor_rejects_singular_and_nonsymmetric():
+    with pytest.raises(SingularSystemError):
+        factor_ldl(TridiagonalSystem(np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0])))
+    with pytest.raises(ValueError):
+        factor_ldl(TridiagonalSystem(np.array([1.0]), np.array([3.0, 3.0]), np.array([2.0])))
 
 
 def test_norms_zero_vector():
