@@ -88,7 +88,14 @@ class ExperimentConfig:
             raise ConfigError("nx must be at least 2")
         if self.policy not in BRANCH_POLICIES:
             raise ConfigError("policy must be one of %s" % (", ".join(BRANCH_POLICIES)))
-        steps = round(self.T / self.dt)
+        for name in ("dt", "T"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError("%s must be positive and finite, got %r" % (name, value))
+        if self.max_branches < 1:
+            raise ConfigError("max_branches must be at least 1, got %r" % (self.max_branches,))
+        ratio = self.T / self.dt  # overflows for a subnormal dt
+        steps = round(ratio) if math.isfinite(ratio) else 0
         if steps < 1 or abs(steps * self.dt - self.T) > 1e-12:
             raise ConfigError("dt=%r does not divide T=%r" % (self.dt, self.T))
 
@@ -117,7 +124,10 @@ def merge_config(args):
         for key, value in read_kv_file(args.config).items():
             if key not in DEFAULTS:
                 raise ConfigError("unknown config key %r" % key)
-            merged[key] = _CASTS.get(key, str)(value)
+            try:
+                merged[key] = _CASTS.get(key, str)(value)
+            except ValueError as err:
+                raise ConfigError("bad value for %r: %s" % (key, err)) from err
     if getattr(args, "preset", None):
         if args.preset not in PRESETS:
             raise ConfigError("unknown preset %r" % args.preset)
@@ -234,18 +244,12 @@ def output_dir(cfg):
 # ---------------------------------------------------------------------------
 # CSV emission
 
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(float(v))
-    return str(v)
-
-
 def write_csv(path, header, rows):
+    """Header plus rows; floats (np.float64 too) are written as their repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def trajectory_header(n):

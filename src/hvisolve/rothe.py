@@ -15,7 +15,9 @@ segment gives r = (e0 - intercept)/(g + slope), checked against its interval;
 a vertical segment at r0 checks e0 - g*r0 against its flux interval.  A
 segment parallel to the line has no solution or a continuum of them; both are
 reported, never skipped silently.  Otherwise each segment holds at most one
-solution, so trying every segment recovers the complete solution set.
+solution, so trying every segment recovers the complete solution set.  A
+solution at a corner of the graph, where two segments meet, is reported by
+both; ``run`` merges coinciding states once per level.
 """
 
 import functools
@@ -38,6 +40,7 @@ log = logging.getLogger(__name__)
 
 ACCEPT_TOL = 1e-12  # interval membership when accepting a segment's candidate
 PARALLEL_RTOL = 1e-12  # |g + slope| <= PARALLEL_RTOL*g: segment parallel to the Schur line
+DEDUPE_TOL = 1e-10  # max-norm distance below which two states of a level are merged
 
 BRANCH_POLICIES = ("all", "min_boundary", "max_boundary", "first")
 
@@ -58,12 +61,13 @@ class RotheConfig:
     num_steps: int
     horizon: float = 1.0
     max_branches: int = 64
-    dedupe_tol: float = 1e-10
     tau0: float | None = None
 
     def __post_init__(self):
         if self.tau <= 0 or self.num_steps < 1:
             raise ValueError("tau must be positive and num_steps >= 1")
+        if self.max_branches < 1:
+            raise ValueError("max_branches must be at least 1, got %r" % (self.max_branches,))
         if abs(self.num_steps * self.tau - self.horizon) > 1e-12:
             raise ValueError(
                 "num_steps*tau = %r must equal horizon %r"
@@ -215,10 +219,13 @@ def _parallel_message(seg, e0):
         e0 - seg.intercept,)
 
 
-def rothe_step_all(mesh, graph, prev, tau, f_k=None, dedupe_tol=1e-10, failures=None):
+def rothe_step_all(mesh, graph, prev, tau, f_k=None, failures=None):
     """All solutions of one backward-Euler step, as StepSolution records.
 
-    Segments are tried left to right along the graph.  An affine segment
+    Segments are tried left to right along the graph, and each segment the
+    Schur line meets gives one record.  At a corner of the graph both
+    adjoining segments report the same state (for j1 at r = 1, where ``a1``
+    ends and ``v2`` stands); ``run`` merges them.  An affine segment
     parallel to the Schur line (no solution, or a continuum of them) is
     reported into ``failures`` as (case tag, message) and yields no
     solution; the other segments still run.  An empty result means the step
@@ -254,12 +261,19 @@ def rothe_step_all(mesh, graph, prev, tau, f_k=None, dedupe_tol=1e-10, failures=
                 continue
             flux = seg.value(r)
         found.append(StepSolution(np.append(y - r * op.w, r), tag, flux))
+    return found
 
-    unique = []
-    for sol in found:
-        if not any(np.max(np.abs(sol.state - u.state)) < dedupe_tol for u in unique):
-            unique.append(sol)
-    return unique
+
+def _merge_duplicates(candidates):
+    """Candidates in order, without those within DEDUPE_TOL (max norm) of a kept one."""
+    if len(candidates) < 2:
+        return candidates
+    states = np.stack([c.state for c in candidates])
+    keep = [0]
+    for i in range(1, len(states)):
+        if not (np.abs(states[keep] - states[i]).max(axis=1) < DEDUPE_TOL).any():
+            keep.append(i)
+    return [candidates[i] for i in keep]
 
 
 def _select(candidates, policy):
@@ -280,7 +294,9 @@ def run(config, mesh, graph, u0, f=None, branch_policy="all"):
     Forcing always passes through per-interval averaging (a zero closure
     substitutes when f is None), keeping a single code path.  Branches that
     admit no successor are terminated and recorded; if every branch dies the
-    tree stops early with ``no_solution_level`` set.
+    tree stops early with ``no_solution_level`` set.  The candidates of a
+    level are merged (corner solutions, states reached from two parents)
+    before the branch policy picks among them.
     """
     if branch_policy not in BRANCH_POLICIES:
         raise ValueError("unknown branch policy %r" % (branch_policy,))
@@ -296,10 +312,7 @@ def run(config, mesh, graph, u0, f=None, branch_policy="all"):
         candidates = []
         for parent_idx, parent in enumerate(tree.levels[-1]):
             fails = []
-            sols = rothe_step_all(
-                mesh, graph, parent.state, config.tau, f_k,
-                dedupe_tol=config.dedupe_tol, failures=fails,
-            )
+            sols = rothe_step_all(mesh, graph, parent.state, config.tau, f_k, failures=fails)
             for tag, msg in fails:
                 tree.step_failures.append((k, parent.branch_id, tag, msg))
             if not sols:
@@ -316,19 +329,14 @@ def run(config, mesh, graph, u0, f=None, branch_policy="all"):
                         "%s.%d" % (parent.branch_id, seg_index),
                     )
                 )
-        kept = _select(candidates, branch_policy) if candidates else []
-        # Level-wide dedup: endpoint solutions reachable through two parents.
-        unique = []
-        for b in kept:
-            if not any(np.max(np.abs(b.state - u.state)) < config.dedupe_tol for u in unique):
-                unique.append(b)
-        if len(unique) > config.max_branches:
-            unique = unique[: config.max_branches]
+        kept = _select(_merge_duplicates(candidates), branch_policy) if candidates else []
+        if len(kept) > config.max_branches:
+            kept = kept[: config.max_branches]
             tree.truncated = True
-        if not unique:
+        if not kept:
             tree.no_solution_level = k
             break
-        tree.levels.append(unique)
+        tree.levels.append(kept)
     return tree
 
 

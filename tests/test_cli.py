@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hvisolve.cli import ConfigError, main, merge_config, build_parser
+from hvisolve.cli import ConfigError, main, merge_config, build_parser, write_csv
 
 
 def _read_csv(path):
@@ -205,6 +205,32 @@ def test_u0_rejects_bad_input(tmp_path, capsys, u0):
                     "--u0", u0, "--out", str(tmp_path / "o"))
     assert code == 1
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, config_text", [
+    (["--dt", "0"], ""),
+    (["--dt", "nan"], ""),
+    (["--dt", "1e-320"], ""),  # finite, but T/dt overflows
+    (["--T", "inf"], ""),
+    ([], "nx = abc\n"),
+    (["--max-branches", "0"], ""),  # solutions exist; truncation would empty the level
+    (["--max-branches", "-3"], ""),
+], ids=["dt-zero", "dt-nan", "dt-subnormal", "T-inf", "config-nx-abc", "max-branches-0",
+        "max-branches-neg"])
+def test_run_rejects_bad_numbers(tmp_path, capsys, flags, config_text):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("potential = j2\n" + config_text)
+    code = _run_cli("run", "--config", str(cfg), "--dt", "0.05", "--T", "0.2",
+                    "--out", str(tmp_path / "o"), *flags)
+    assert code == 1
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_write_csv_float_format(tmp_path):
+    values = [np.float64(0.1), 1e16, 1e-05, -0.0]
+    write_csv(tmp_path / "f.csv", ["v"] * len(values), [values])
+    _, rows = _read_csv(tmp_path / "f.csv")
+    assert rows == [[repr(float(v)) for v in values]]
 
 
 def test_dump_matrices(tmp_path):

@@ -20,6 +20,7 @@ from hvisolve import (
     run,
     zero_flux_graph,
 )
+from hvisolve import rothe
 from hvisolve.analysis import _NormKit
 from oracles import random_potential, schur_scan_solutions
 
@@ -33,6 +34,8 @@ def test_config_validation():
     assert cfg.num_steps == 100
     with pytest.raises(ValueError):
         RotheConfig.from_step(0.5, 1.0, tau0=0.25)
+    with pytest.raises(ValueError):
+        RotheConfig.from_step(0.5, 1.0, max_branches=0)
 
 
 def test_clement_average_zero_and_constant():
@@ -129,6 +132,28 @@ def test_run_records_dead_tree():
     assert tree.step_failures
 
 
+def test_corner_solution_reported_twice_and_merged_once():
+    # n=2, dx=1/2, tau=1/12: Schur complement g = 3.875 and e0 = 3.625*c, so
+    # c = (g + 1)/3.625 puts the step on the j1 corner r = 1, xi = 1, where
+    # a1 ends and v2 stands
+    mesh = Mesh1D(2, 0.5)
+    graph = clarke_subdifferential(potential_j1())
+    c = 4.875 / 3.625
+    sols = rothe_step_all(mesh, graph, np.array([c, c]), tau=1 / 12)
+    assert [s.case_tag for s in sols] == ["a1", "v2", "a3"]
+    assert np.max(np.abs(sols[0].state - sols[1].state)) < rothe.DEDUPE_TOL
+    cfg = RotheConfig(tau=1 / 12, num_steps=1, horizon=1 / 12)
+    want = {
+        "all": [("0.1", "a1"), ("0.3", "a3")],
+        "first": [("0.1", "a1")],
+        "min_boundary": [("0.1", "a1")],
+        "max_boundary": [("0.3", "a3")],
+    }
+    for policy, level in want.items():
+        tree = run(cfg, mesh, graph, lambda x: c, branch_policy=policy)
+        assert [(b.branch_id, b.case_tag) for b in tree.levels[1]] == level, policy
+
+
 def test_step_enumeration_matches_scan_oracle():
     rng = np.random.default_rng(42)
     graphs = [clarke_subdifferential(p()) for p in (potential_j1, potential_j2)]
@@ -223,7 +248,7 @@ def test_tree_invariants_on_branching_run():
             assert lo - 1e-10 <= b.boundary_flux <= hi + 1e-10
         for i, a in enumerate(branches):
             for b in branches[i + 1:]:
-                assert np.max(np.abs(a.state - b.state)) >= cfg.dedupe_tol
+                assert np.max(np.abs(a.state - b.state)) >= rothe.DEDUPE_TOL
 
 
 def test_run_with_forcing_reaches_discrete_steady_state():
