@@ -10,8 +10,6 @@ import numpy as np
 
 from hvisolve import (
     clarke_subdifferential,
-    eval_potential,
-    graph_select,
     growth_constant,
     potential_j1,
     potential_j2,
@@ -25,8 +23,8 @@ def describe(name, pot):
         print("   ", seg)
     print("  growth constant (smallest c with |xi| <= c(1+|r|)):", growth_constant(graph))
     for r in (-1.0, 0.5, 1.0, 1.5, 2.0, 3.0):
-        lo, hi = graph_select(graph, r)
-        value = eval_potential(pot, r)
+        lo, hi = graph.select(r)
+        value = pot(r)
         pretty = "{%g}" % lo if lo == hi else "[%g, %g]" % (lo, hi)
         print("  j(%4.1f) = %7.4f   dj(%4.1f) = %s" % (r, value, r, pretty))
     print()

@@ -5,14 +5,11 @@ backward-Euler stepper tries every graph segment per step and still finds a
 single solution every time: the monotone jump cannot split the trajectory.
 """
 
-import numpy as np
-
 from hvisolve import (
     Mesh1D,
     RotheConfig,
     clarke_subdifferential,
     interpolant_norms,
-    make_interpolants,
     potential_j2,
     run,
 )
@@ -37,8 +34,7 @@ def main():
     print("region (1, 2), where the flux 2 - u(1) drains heat, and then")
     print("relaxes toward 0 under the Dirichlet end alone")
 
-    pc, pl = make_interpolants(tree.chain_states(), config.tau)
-    report = interpolant_norms(mesh, pc, pl)
+    report = interpolant_norms(mesh, tree.chain_states(), config.tau)
     print("norms of the step-function trajectory:")
     print("  L2(0,T;V)             = %.6f" % report.l2V)
     print("  Linf(0,T;H)           = %.6f" % report.linfH)

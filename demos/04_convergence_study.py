@@ -13,13 +13,13 @@ import numpy as np
 
 from hvisolve import (
     Mesh1D,
+    MeshNorms,
     RotheConfig,
     StudyProblem,
     apriori_bound_suite,
     clarke_subdifferential,
     convergence_study,
     heat_series_solution,
-    norm_H,
     potential_j2,
     run,
     zero_flux_graph,
@@ -46,8 +46,9 @@ def main():
     config = RotheConfig.from_step(tau, 1.0)
     tree = run(config, mesh, zero_flux_graph(), lambda x: math.sin(lam * x))
     states = tree.chain_states()
+    norms = MeshNorms(mesh)
     err = max(
-        norm_H(mesh, states[k] - heat_series_solution(mesh.nodes, k * tau, [1.0]))
+        norms.h(states[k] - heat_series_solution(mesh.nodes, k * tau, [1.0]))
         for k in range(1, config.num_steps + 1)
     )
     print("eigenmode datum sin(pi x/2), tau = %g:" % tau)

@@ -7,6 +7,7 @@ from .analysis import (
     BoundSuiteVerdict,
     ConditionReport,
     ConvergenceTable,
+    MeshNorms,
     NormReport,
     StudyProblem,
     apriori_bound_suite,
@@ -24,10 +25,7 @@ from .fem1d import (
     TridiagonalSystem,
     assemble_mass,
     assemble_stiffness,
-    dual_norm,
     factor_ldl,
-    norm_H,
-    norm_V,
     solve_tridiagonal,
 )
 from .nonsmooth import (
@@ -38,8 +36,6 @@ from .nonsmooth import (
     UnboundedGrowthError,
     VerticalSegment,
     clarke_subdifferential,
-    eval_potential,
-    graph_select,
     growth_constant,
     potential_j1,
     potential_j2,

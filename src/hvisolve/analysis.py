@@ -39,11 +39,12 @@ class NormReport:
         return [self.l2V, self.linfH, self.cH, self.l2Vstar_of_derivative, self.bv2_Vstar]
 
 
-class _NormKit:
-    """Prebuilt matrices for repeated norm evaluations on one mesh.
+class MeshNorms:
+    """H, V and V* norms of P1 functions on one mesh.
 
-    M+K = L D L^T is factored once; ``whiten`` maps action vectors g to
-    D^{-1/2} L^{-1} g, whose Euclidean norm is the dual norm of g.
+    M and K are assembled once and M+K = L D L^T is factored once; ``whiten``
+    maps action vectors g to D^{-1/2} L^{-1} g, whose Euclidean norm is the
+    dual norm of g.
     """
 
     def __init__(self, mesh):
@@ -54,10 +55,16 @@ class _NormKit:
         self.sqrt_d = np.sqrt(pivots)
 
     def h(self, c):
+        """L2 norm of the finite element function with nodal coefficients c."""
         return math.sqrt(max(0.0, c @ self.M.matvec(c)))
 
     def v_sq(self, c):
+        """Squared full H1 norm c^T (M+K) c."""
         return max(0.0, float(c @ self.MK.matvec(c)))
+
+    def v(self, c):
+        """Full H1 norm."""
+        return math.sqrt(self.v_sq(c))
 
     def whiten(self, g):
         """D^{-1/2} L^{-1} g for an action vector, or for each column of an
@@ -69,29 +76,23 @@ class _NormKit:
         return self.whiten(np.stack([self.M.matvec(c) for c in coeffs], axis=1))
 
     def dual(self, g):
+        """Dual norm sqrt(g^T (M+K)^{-1} g) of the functional with action vector g."""
         return _euclidean(self.whiten(g))
-
-    def dual_of_h_embedding(self, c):
-        """Dual norm of the functional v -> (c, v)_H, action vector M*c."""
-        return self.dual(self.M.matvec(c))
 
 
 def _euclidean(y):
     return math.sqrt(y @ y)
 
 
-def interpolant_norms(mesh, pc, pl):
-    """Norms of a snapshot path, via both interpolants built on it."""
-    if not np.array_equal(pc.snapshots, pl.snapshots) or pc.tau != pl.tau:
-        raise ValueError("interpolants must share snapshots and step size")
-    kit = _NormKit(mesh)
-    snaps = pc.snapshots
-    tau = pc.tau
-    h_norms = [kit.h(s) for s in snaps]
-    l2V = math.sqrt(tau * sum(kit.v_sq(s) for s in snaps[1:]))
+def interpolant_norms(mesh, states, tau):
+    """Norms of the Rothe interpolants of the snapshot path ``states`` (u^0..u^N)
+    with step ``tau``."""
+    kit = MeshNorms(mesh)
+    h_norms = [kit.h(s) for s in states]
+    l2V = math.sqrt(tau * sum(kit.v_sq(s) for s in states[1:]))
     linfH = max(h_norms[1:])
     cH = max(h_norms)
-    y = kit.whiten_h_embeddings(snaps)
+    y = kit.whiten_h_embeddings(states)
     dy = (y[1:] - y[:-1]) / tau
     l2Vstar_du = math.sqrt(tau * sum(v @ v for v in dy))
     bv2 = bv2_seminorm(list(y), _euclidean)
@@ -105,7 +106,7 @@ def l2_vstar_gap(mesh, pc, pl):
     integrand and blind to the measure-zero interval endpoints where the
     piecewise-constant interpolant switches value.
     """
-    kit = _NormKit(mesh)
+    kit = MeshNorms(mesh)
     tau = pc.tau
     offsets = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
     times = [(k - 1 + theta) * tau for k in range(1, pc.num_steps + 1) for theta in offsets]
@@ -159,6 +160,10 @@ class AbstractConstants:
     m3: float | None = None
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            for v in value if isinstance(value, tuple) else (value,):
+                if v is not None and not math.isfinite(v):
+                    raise ValueError("%s must be finite, got %r" % (name, value))
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.beta < 0:
@@ -260,7 +265,7 @@ class BoundSuiteVerdict:
 
 
 def _lemma_quantities(tree):
-    kit = _NormKit(tree.mesh)
+    kit = MeshNorms(tree.mesh)
     states = tree.chain_states()
     tau = tree.config.tau
     h = [kit.h(s) for s in states]
@@ -369,7 +374,7 @@ def convergence_study(problem, tau_list, reference_tau, enforce_separation=True)
     taus = sorted(tau_list, reverse=True)
     if enforce_separation and reference_tau > min(taus) / 4.0 + 1e-15:
         raise ValueError("reference tau must be at most min(tau_list)/4")
-    kit = _NormKit(problem.mesh)
+    kit = MeshNorms(problem.mesh)
     ref_tree = problem.solve(reference_tau)
     ref_states = ref_tree.path_states(0)
     counts = {}

@@ -39,7 +39,6 @@ from .rothe import (
     NoSolutionError,
     RotheConfig,
     TRAJECTORY_HEADER,
-    make_interpolants,
     run,
     trajectory_rows,
 )
@@ -260,11 +259,11 @@ def write_trajectory(path, tree):
     write_csv(path, trajectory_header(tree.mesh.n), trajectory_rows(tree))
 
 
-def write_surface(path, tree, leaf_index=0):
+def write_surface(path, tree):
     tau = tree.config.tau
     dx = float(tree.mesh.dx)
     rows = []
-    for k, state in enumerate(tree.path_states(leaf_index)):
+    for k, state in enumerate(tree.path_states(0)):
         t = k * tau
         rows.append([0.0, t, 0.0])  # Dirichlet end
         for i, u in enumerate(state, start=1):
@@ -324,8 +323,7 @@ def cmd_run(args):
     write_trajectory(outdir / "trajectory.csv", tree)
     write_surface(outdir / "surface.csv", tree)
     write_plot_script(outdir / "plot.gp")
-    pc, pl = make_interpolants(tree.path_states(0), cfg.dt)
-    report = interpolant_norms(tree.mesh, pc, pl)
+    report = interpolant_norms(tree.mesh, tree.path_states(0), cfg.dt)
     write_csv(outdir / "norms.csv", NormReport.CSV_HEADER, [report.csv_row()])
     if args.dump_matrices:
         write_matrices(outdir, tree.mesh)
@@ -397,7 +395,10 @@ def cmd_check(args):
     for key, val in read_kv_file(args.constants).items():
         if key not in _CONSTANT_KEYS:
             raise ConfigError("unknown constant %r" % key)
-        values[key] = float(val)
+        try:
+            values[key] = float(val)
+        except ValueError as err:
+            raise ConfigError("bad value for %r: %s" % (key, err)) from err
     d_sigma = None
     if "d" in values or "sigma" in values:
         if not ("d" in values and "sigma" in values):

@@ -166,28 +166,3 @@ def factor_ldl(sys):
         if abs(d[i]) < PIVOT_TOL:
             raise SingularSystemError("zero pivot at row %d" % i)
     return TridiagonalSystem(low, np.ones(n), np.zeros(n - 1)), d
-
-
-def norm_H(mesh, coeffs):
-    """L2 norm of the finite element function with the given nodal coefficients."""
-    c = np.asarray(coeffs, dtype=float)
-    return float(np.sqrt(max(0.0, c @ assemble_mass(mesh).matvec(c))))
-
-
-def norm_V(mesh, coeffs):
-    """Full H1 norm: sqrt(c^T (M+K) c)."""
-    c = np.asarray(coeffs, dtype=float)
-    mk = assemble_mass(mesh) + assemble_stiffness(mesh)
-    return float(np.sqrt(max(0.0, c @ mk.matvec(c))))
-
-
-def dual_norm(mesh, functional_coeffs):
-    """Discrete dual norm of a functional given by its action vector g.
-
-    Riesz representation restricted to V_n: solve (M+K) w = g and return
-    sqrt(g^T w).
-    """
-    g = np.asarray(functional_coeffs, dtype=float)
-    mk = assemble_mass(mesh) + assemble_stiffness(mesh)
-    w = solve_tridiagonal(mk, g)
-    return float(np.sqrt(max(0.0, g @ w)))

@@ -44,6 +44,8 @@ class PiecewiseQuadraticPotential:
                 "need exactly len(breakpoints)+1 pieces, got %d for %d breakpoints"
                 % (len(self.pieces), len(self.breakpoints))
             )
+        if not (np.all(np.isfinite(self.breakpoints)) and np.all(np.isfinite(self.pieces))):
+            raise PotentialError("breakpoints and coefficients must be finite")
         for a, b in zip(self.breakpoints, self.breakpoints[1:]):
             if not a < b:
                 raise PotentialError("breakpoints must be strictly increasing")
@@ -77,11 +79,6 @@ class PiecewiseQuadraticPotential:
             list(self.breakpoints),
             list(self.pieces),
         )
-
-
-def eval_potential(j, r):
-    """Value of j at r; either piece applies at a breakpoint by continuity."""
-    return j(r)
 
 
 @dataclass(frozen=True)
@@ -167,11 +164,6 @@ def clarke_subdifferential(j):
                 segments.append(VerticalSegment(r, min(left, right), max(left, right)))
         segments.append(AffineSegment(cuts[i], cuts[i + 1], 2.0 * c2, c1))
     return SubdifferentialGraph(segments)
-
-
-def graph_select(g, r):
-    """The set g(r) as a closed interval [lo, hi]; singleton away from verticals."""
-    return g.select(r)
 
 
 class UnboundedGrowthError(ValueError):

@@ -53,15 +53,13 @@ class NoSolutionError(RuntimeError):
 class RotheConfig:
     """Time grid and branch bookkeeping parameters.
 
-    num_steps * tau must equal horizon; tau must stay below tau0 when a
-    coercivity threshold is supplied.
+    num_steps * tau must equal horizon.
     """
 
     tau: float
     num_steps: int
     horizon: float = 1.0
     max_branches: int = 64
-    tau0: float | None = None
 
     def __post_init__(self):
         if self.tau <= 0 or self.num_steps < 1:
@@ -73,8 +71,6 @@ class RotheConfig:
                 "num_steps*tau = %r must equal horizon %r"
                 % (self.num_steps * self.tau, self.horizon)
             )
-        if self.tau0 is not None and not self.tau < self.tau0:
-            raise ValueError("tau=%g violates the step restriction tau0=%g" % (self.tau, self.tau0))
 
     @classmethod
     def from_step(cls, tau, horizon=1.0, **kw):

@@ -13,6 +13,7 @@ import pytest
 from hvisolve import (
     AbstractConstants,
     Mesh1D,
+    MeshNorms,
     RotheConfig,
     StudyProblem,
     apriori_bound_suite,
@@ -22,7 +23,6 @@ from hvisolve import (
     check_conditions,
     clarke_subdifferential,
     convergence_study,
-    graph_select,
     heat_series_solution,
     interpolant_norms,
     l2_vstar_gap,
@@ -33,7 +33,6 @@ from hvisolve import (
     run,
     zero_flux_graph,
 )
-from hvisolve.analysis import _NormKit
 from oracles import brute_force_bv2, fd_directional_sup, random_potential, schur_scan_solutions
 
 
@@ -116,7 +115,7 @@ def test_criterion_02_subdifferential_oracle():
         for pot, closed in ((potential_j1(), _dj1_closed), (potential_j2(), _dj2_closed)):
             g = clarke_subdifferential(pot)
             for r in samples:
-                lo, hi = graph_select(g, float(r))
+                lo, hi = g.select(float(r))
                 wlo, whi = closed(float(r))
                 if wlo != whi:
                     assert (lo, hi) == (wlo, whi)  # interval values are exact
@@ -125,7 +124,7 @@ def test_criterion_02_subdifferential_oracle():
                     assert abs(lo - wlo) <= 1e-12
             points = list(pot.breakpoints) + list(rng.uniform(-3.0, 4.0, 500))
             for r in points:
-                lo, hi = graph_select(g, r)
+                lo, hi = g.select(r)
                 assert abs(fd_directional_sup(pot, r, +1.0) - hi) <= 1e-6
                 assert abs(fd_directional_sup(pot, r, -1.0) - (-lo)) <= 1e-6
 
@@ -182,9 +181,9 @@ def test_criterion_05_step_solver_completeness():
 
 
 def _derivative_vstar_sq(mesh, pc):
-    kit = _NormKit(mesh)
+    kit = MeshNorms(mesh)
     tau = pc.tau
-    return tau * sum(kit.dual_of_h_embedding(d / tau) ** 2 for d in pc.differences())
+    return tau * sum(kit.dual(kit.M.matvec(d / tau)) ** 2 for d in pc.differences())
 
 
 def test_criterion_06_interpolant_identity():
@@ -236,7 +235,7 @@ def test_criterion_08_convergence_trend():
         tau = 0.005
         cfg = RotheConfig.from_step(tau, 1.0)
         tree = run(cfg, mesh, zero_flux_graph(), lambda x: math.sin(lam * x))
-        kit = _NormKit(mesh)
+        kit = MeshNorms(mesh)
         states = tree.chain_states()
         err = max(
             kit.h(states[k] - heat_series_solution(mesh.nodes, k * tau, [1.0]))
@@ -265,8 +264,7 @@ def test_criterion_09_bv2_correctness():
         for graph, policy in runs:
             cfg = preset_config()
             tree = run(cfg, mesh, graph, lambda x: 2.0, branch_policy=policy)
-            pc, pl = make_interpolants(tree.chain_states(), cfg.tau)
-            report = interpolant_norms(mesh, pc, pl)
+            report = interpolant_norms(mesh, tree.chain_states(), cfg.tau)
             envelope = cfg.horizon * report.l2Vstar_of_derivative**2
             assert report.bv2_Vstar <= envelope * (1 + 1e-9)
 

@@ -16,7 +16,6 @@ from hvisolve import (
     clarke_subdifferential,
     constant_datum_amplitudes,
     convergence_study,
-    dual_norm,
     heat_series_solution,
     interpolant_norms,
     l2_vstar_gap,
@@ -63,8 +62,7 @@ def test_bv2_invariant_under_repeating_snapshots():
 
 def test_interpolant_norms_zero_path():
     mesh = Mesh1D.uniform(5)
-    pc, pl = make_interpolants([np.zeros(5)] * 4, tau=0.25)
-    report = interpolant_norms(mesh, pc, pl)
+    report = interpolant_norms(mesh, [np.zeros(5)] * 4, tau=0.25)
     assert report.l2V == report.linfH == report.cH == 0.0
     assert report.l2Vstar_of_derivative == report.bv2_Vstar == 0.0
 
@@ -72,18 +70,9 @@ def test_interpolant_norms_zero_path():
 def test_interpolant_norms_single_step_derivative():
     mesh = Mesh1D.uniform(2)
     c = np.array([0.3, -0.7])
-    pc, pl = make_interpolants([np.zeros(2), c], tau=1.0)
-    report = interpolant_norms(mesh, pc, pl)
+    report = interpolant_norms(mesh, [np.zeros(2), c], tau=1.0)
     m = assemble_mass(mesh)
-    assert report.l2Vstar_of_derivative == pytest.approx(dual_norm(mesh, m.matvec(c)), rel=1e-12)
-
-
-def test_interpolant_norms_reject_mismatched_paths():
-    mesh = Mesh1D.uniform(3)
-    pc, _ = make_interpolants([np.zeros(3)] * 3, tau=0.5)
-    _, pl = make_interpolants([np.ones(3)] * 3, tau=0.5)
-    with pytest.raises(ValueError):
-        interpolant_norms(mesh, pc, pl)
+    assert report.l2Vstar_of_derivative == pytest.approx(dense_dual_norm(mesh, m.matvec(c)), rel=1e-12)
 
 
 def _dense_norm_report(mesh, snaps, tau):
@@ -106,8 +95,7 @@ def test_interpolant_norms_match_dense_oracle():
         tau = float(rng.uniform(0.01, 0.5))
         snaps = rng.uniform(-2, 2, (steps + 1, n))
         mesh = Mesh1D.uniform(n)
-        pc, pl = make_interpolants(snaps, tau)
-        got = interpolant_norms(mesh, pc, pl).csv_row()
+        got = interpolant_norms(mesh, snaps, tau).csv_row()
         assert got == pytest.approx(_dense_norm_report(mesh, snaps, tau), rel=1e-12)
 
 
@@ -118,18 +106,17 @@ def test_bv2_of_paper_j2_path_matches_dense_oracle():
                branch_policy="first")
     states = tree.chain_states()
     assert len(states) == 101
-    pc, pl = make_interpolants(states, cfg.tau)
     m = assemble_mass(mesh).to_dense().astype(float)
     want = bv2_seminorm(states, lambda v: dense_dual_norm(mesh, m @ v))
-    assert interpolant_norms(mesh, pc, pl).bv2_Vstar == pytest.approx(want, rel=1e-12)
+    assert interpolant_norms(mesh, states, cfg.tau).bv2_Vstar == pytest.approx(want, rel=1e-12)
 
 
 def test_gap_equals_scaled_derivative_norm_pure_heat():
     mesh = Mesh1D.uniform(25)
     cfg = RotheConfig.from_step(0.04, 0.6)
-    tree = run(cfg, mesh, zero_flux_graph(), lambda x: 2.0)
-    pc, pl = make_interpolants(tree.chain_states(), cfg.tau)
-    report = interpolant_norms(mesh, pc, pl)
+    states = run(cfg, mesh, zero_flux_graph(), lambda x: 2.0).chain_states()
+    pc, pl = make_interpolants(states, cfg.tau)
+    report = interpolant_norms(mesh, states, cfg.tau)
     gap = l2_vstar_gap(mesh, pc, pl)
     assert gap == pytest.approx(cfg.tau / math.sqrt(3.0) * report.l2Vstar_of_derivative, rel=1e-10)
 
@@ -139,8 +126,7 @@ def test_bv2_bounded_by_derivative_envelope():
     cfg = RotheConfig.from_step(0.04, 0.6)
     for graph in (zero_flux_graph(), clarke_subdifferential(potential_j2())):
         tree = run(cfg, mesh, graph, lambda x: 2.0, branch_policy="first")
-        pc, pl = make_interpolants(tree.chain_states(), cfg.tau)
-        report = interpolant_norms(mesh, pc, pl)
+        report = interpolant_norms(mesh, tree.chain_states(), cfg.tau)
         envelope = cfg.horizon * report.l2Vstar_of_derivative**2
         assert report.bv2_Vstar <= envelope * (1 + 1e-9)
 

@@ -257,3 +257,25 @@ def test_custom_potential_round_trip(tmp_path):
     code = _run_cli("run", "--potential", "custom", "--breakpoints", "1",
                     "--pieces", "0:0:0;0:0:99", "--out", str(out))
     assert code == 1  # discontinuous pieces rejected
+
+
+@pytest.mark.parametrize("breakpoints, pieces", [
+    ("", "0:inf:0"),
+    ("", "nan:0:0"),
+    ("1", "0:nan:0;0:0:0"),  # NaN values compare equal to nothing, continuity included
+], ids=["slope-inf", "curvature-nan", "nan-across-breakpoint"])
+def test_custom_potential_rejects_non_finite(tmp_path, capsys, breakpoints, pieces):
+    code = _run_cli("run", "--potential", "custom", "--breakpoints", breakpoints,
+                    "--pieces", pieces, "--nx", "4", "--dt", "0.1", "--T", "0.2",
+                    "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "norms.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["alpha = abc", "alpha = nan", "beta = inf"])
+def test_check_rejects_bad_constants(tmp_path, capsys, line):
+    constants = tmp_path / "c.txt"
+    constants.write_text("alpha = 1.0\nc = 0.3\nbeta = 0.0\niota_norm = 1.0\n" + line + "\n")
+    assert _run_cli("check", "--constants", str(constants)) == 1
+    assert "config error:" in capsys.readouterr().err

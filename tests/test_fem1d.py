@@ -5,14 +5,12 @@ import pytest
 
 from hvisolve import (
     Mesh1D,
+    MeshNorms,
     SingularSystemError,
     TridiagonalSystem,
     assemble_mass,
     assemble_stiffness,
-    dual_norm,
     factor_ldl,
-    norm_H,
-    norm_V,
     solve_tridiagonal,
 )
 
@@ -164,38 +162,42 @@ def test_ldl_factor_rejects_singular_and_nonsymmetric():
 
 def test_norms_zero_vector():
     mesh = Mesh1D.uniform(6)
+    kit = MeshNorms(mesh)
     z = np.zeros(6)
-    assert norm_H(mesh, z) == 0.0
-    assert norm_V(mesh, z) == 0.0
-    assert dual_norm(mesh, z) == 0.0
+    assert kit.h(z) == 0.0
+    assert kit.v(z) == 0.0
+    assert kit.dual(z) == 0.0
 
 
 def test_norms_of_linear_interpolant():
     mesh = Mesh1D.uniform(200)
+    kit = MeshNorms(mesh)
     c = mesh.nodes  # interpolates v(x) = x
     # exact: |v|_{L2}^2 = 1/3 and |v'|_{L2}^2 = 1 (P1 interpolation is exact here)
-    assert norm_H(mesh, c) == pytest.approx(1 / np.sqrt(3), abs=1e-3)
-    assert norm_V(mesh, c) ** 2 - norm_H(mesh, c) ** 2 == pytest.approx(1.0, abs=1e-3)
+    assert kit.h(c) == pytest.approx(1 / np.sqrt(3), abs=1e-3)
+    assert kit.v(c) ** 2 - kit.h(c) ** 2 == pytest.approx(1.0, abs=1e-3)
 
 
 def test_dual_norm_riesz_isometry():
     mesh = Mesh1D.uniform(6)
+    kit = MeshNorms(mesh)
     rng = np.random.default_rng(1)
     mk = assemble_mass(mesh) + assemble_stiffness(mesh)
     for _ in range(10):
         c = rng.uniform(-1, 1, mesh.n)
         g = mk.matvec(c)
-        assert dual_norm(mesh, g) == pytest.approx(norm_V(mesh, c), rel=1e-10)
+        assert kit.dual(g) == pytest.approx(kit.v(c), rel=1e-10)
 
 
 def test_dual_norm_matches_dense_oracle():
     mesh = Mesh1D.uniform(6)
+    kit = MeshNorms(mesh)
     rng = np.random.default_rng(2)
     mk = (assemble_mass(mesh) + assemble_stiffness(mesh)).to_dense()
     for _ in range(10):
         g = rng.uniform(-1, 1, mesh.n)
         want = np.sqrt(g @ np.linalg.solve(mk, g))
-        assert dual_norm(mesh, g) == pytest.approx(want, abs=1e-10)
+        assert kit.dual(g) == pytest.approx(want, abs=1e-10)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -208,8 +210,9 @@ def test_matrices_positive_definite(n):
 def test_dual_norm_of_h_functional_bounded_by_h_norm():
     # continuous embedding H into V*: |(c, .)_H|_{V*} <= |c|_H
     mesh = Mesh1D.uniform(11)
+    kit = MeshNorms(mesh)
     m = assemble_mass(mesh)
     rng = np.random.default_rng(9)
     for _ in range(20):
         c = rng.uniform(-3, 3, mesh.n)
-        assert dual_norm(mesh, m.matvec(c)) <= norm_H(mesh, c) * (1 + 1e-12)
+        assert kit.dual(m.matvec(c)) <= kit.h(c) * (1 + 1e-12)

@@ -7,8 +7,6 @@ from hvisolve import (
     PotentialError,
     VerticalSegment,
     clarke_subdifferential,
-    eval_potential,
-    graph_select,
     growth_constant,
     potential_j1,
     potential_j2,
@@ -55,19 +53,30 @@ def test_potential_rejects_unordered_breakpoints():
         )
 
 
-def test_eval_potential_values():
+@pytest.mark.parametrize("breakpoints, pieces", [
+    ([np.inf], [(0.0, 0.0, 0.0)] * 2),
+    ([], [(np.nan, 0.0, 0.0)]),
+    ([], [(0.0, -np.inf, 0.0)]),
+    ([1.0], [(0.0, np.nan, 0.0), (0.0, 0.0, 0.0)]),
+], ids=["breakpoint-inf", "curvature-nan", "slope-minus-inf", "nan-across-breakpoint"])
+def test_potential_rejects_non_finite(breakpoints, pieces):
+    with pytest.raises(PotentialError):
+        PiecewiseQuadraticPotential(breakpoints, pieces)
+
+
+def test_potential_values():
     j1, j2 = potential_j1(), potential_j2()
-    assert eval_potential(j1, 2.0) == 0.5
-    assert eval_potential(j1, 0.5) == 0.125
-    assert eval_potential(j2, 1.0) == 0.0
+    assert j1(2.0) == 0.5
+    assert j1(0.5) == 0.125
+    assert j2(1.0) == 0.0
 
 
-def test_graph_select_examples():
+def test_graph_selection_examples():
     g1 = clarke_subdifferential(potential_j1())
     g2 = clarke_subdifferential(potential_j2())
-    assert graph_select(g1, 1.0) == (0.0, 1.0)
-    assert graph_select(g1, 0.5) == (0.5, 0.5)
-    assert graph_select(g2, 3.0) == (0.0, 0.0)
+    assert g1.select(1.0) == (0.0, 1.0)
+    assert g1.select(0.5) == (0.5, 0.5)
+    assert g2.select(3.0) == (0.0, 0.0)
 
 
 def test_growth_constant_zero_graph():

@@ -3,16 +3,15 @@ import pytest
 
 from hvisolve import (
     Mesh1D,
+    MeshNorms,
     PiecewiseQuadraticPotential,
     RotheConfig,
     assemble_mass,
     assemble_stiffness,
     clarke_subdifferential,
     clement_average,
-    graph_select,
     l2_vstar_gap,
     make_interpolants,
-    norm_H,
     potential_j1,
     potential_j2,
     project_initial,
@@ -21,7 +20,6 @@ from hvisolve import (
     zero_flux_graph,
 )
 from hvisolve import rothe
-from hvisolve.analysis import _NormKit
 from oracles import random_potential, schur_scan_solutions
 
 
@@ -32,8 +30,6 @@ def test_config_validation():
         RotheConfig.from_step(0.3, 1.0)
     cfg = RotheConfig.from_step(0.01, 1.0)
     assert cfg.num_steps == 100
-    with pytest.raises(ValueError):
-        RotheConfig.from_step(0.5, 1.0, tau0=0.25)
     with pytest.raises(ValueError):
         RotheConfig.from_step(0.5, 1.0, max_branches=0)
 
@@ -244,7 +240,7 @@ def test_tree_invariants_on_branching_run():
             rhs = m.matvec(prev) / cfg.tau
             residual = system.matvec(b.state) + b.boundary_flux * e_n - rhs
             assert np.max(np.abs(residual)) <= 1e-9
-            lo, hi = graph_select(graph, b.state[-1])
+            lo, hi = graph.select(b.state[-1])
             assert lo - 1e-10 <= b.boundary_flux <= hi + 1e-10
         for i, a in enumerate(branches):
             for b in branches[i + 1:]:
@@ -286,7 +282,8 @@ def test_backward_euler_dissipativity_pure_heat():
     mesh = Mesh1D.uniform(30)
     cfg = RotheConfig.from_step(0.02, 0.6)
     tree = run(cfg, mesh, zero_flux_graph(), lambda x: 2.0)
-    h = [norm_H(mesh, s) for s in tree.chain_states()]
+    kit = MeshNorms(mesh)
+    h = [kit.h(s) for s in tree.chain_states()]
     assert all(b <= a + 1e-12 for a, b in zip(h, h[1:]))
 
 
@@ -330,8 +327,8 @@ def test_interpolant_gap_identity():
     tree = run(cfg, mesh, clarke_subdifferential(potential_j2()), lambda x: 2.0,
                branch_policy="first")
     pc, pl = make_interpolants(tree.chain_states(), cfg.tau)
-    kit = _NormKit(mesh)
-    der = [kit.dual_of_h_embedding(d / cfg.tau) for d in pc.differences()]
+    kit = MeshNorms(mesh)
+    der = [kit.dual(kit.M.matvec(d / cfg.tau)) for d in pc.differences()]
     rhs = cfg.tau**2 / 3.0 * cfg.tau * sum(v * v for v in der)
     lhs = l2_vstar_gap(mesh, pc, pl) ** 2
     assert lhs == pytest.approx(rhs, rel=1e-10)
