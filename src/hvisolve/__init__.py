@@ -17,7 +17,6 @@ from .analysis import (
     convergence_study,
     heat_series_solution,
     interpolant_norms,
-    l2_vstar_gap,
 )
 from .fem1d import (
     Mesh1D,
@@ -43,13 +42,11 @@ from .nonsmooth import (
 )
 from .rothe import (
     Branch,
-    Interpolant,
     NoSolutionError,
     RotheConfig,
     SolutionTree,
     StepSolution,
     clement_average,
-    make_interpolants,
     project_initial,
     rothe_step_all,
     run,

@@ -1,5 +1,5 @@
-"""Interpolant norms, the quadratic-variation seminorm, step-size conditions,
-empirical bound suites, and the convergence-study harness.
+"""Rothe interpolant norms, the quadratic-variation seminorm, step-size
+conditions, empirical bound suites, and the convergence-study harness.
 
 Norm conventions: the discrete dual norm of a step function's time derivative
 uses the action vector M*(u^k - u^{k-1})/tau of the difference quotient, i.e.
@@ -55,29 +55,26 @@ class MeshNorms:
         self.sqrt_d = np.sqrt(pivots)
 
     def h(self, c):
-        """L2 norm of the finite element function with nodal coefficients c."""
-        return math.sqrt(max(0.0, c @ self.M.matvec(c)))
+        """L2 norm of the P1 function with nodal coefficients c, or of each stack row."""
+        return np.sqrt(_quadratic_form(self.M, c))
 
     def v_sq(self, c):
-        """Squared full H1 norm c^T (M+K) c."""
-        return max(0.0, float(c @ self.MK.matvec(c)))
-
-    def v(self, c):
-        """Full H1 norm."""
-        return math.sqrt(self.v_sq(c))
+        """Squared full H1 norm c^T (M+K) c, of a vector or of each stack row."""
+        return _quadratic_form(self.MK, c)
 
     def whiten(self, g):
         """D^{-1/2} L^{-1} g for an action vector, or for each column of an
         (n, m) array, returned as m rows."""
         return solve_tridiagonal(self.L, g).T / self.sqrt_d
 
-    def whiten_h_embeddings(self, coeffs):
-        """Rows D^{-1/2} L^{-1} M c for each coefficient vector c in ``coeffs``."""
-        return self.whiten(np.stack([self.M.matvec(c) for c in coeffs], axis=1))
-
     def dual(self, g):
         """Dual norm sqrt(g^T (M+K)^{-1} g) of the functional with action vector g."""
         return _euclidean(self.whiten(g))
+
+
+def _quadratic_form(a, c):
+    # np.maximum lets a NaN through: an overflowed state never reads as norm 0
+    return np.maximum(0.0, np.einsum("...i,...i->...", c, a.matvec(c)))
 
 
 def _euclidean(y):
@@ -86,32 +83,16 @@ def _euclidean(y):
 
 def interpolant_norms(mesh, states, tau):
     """Norms of the Rothe interpolants of the snapshot path ``states`` (u^0..u^N)
-    with step ``tau``."""
+    with step ``tau``, in closed form over the snapshot rows."""
     kit = MeshNorms(mesh)
-    h_norms = [kit.h(s) for s in states]
-    l2V = math.sqrt(tau * sum(kit.v_sq(s) for s in states[1:]))
-    linfH = max(h_norms[1:])
-    cH = max(h_norms)
-    y = kit.whiten_h_embeddings(states)
-    dy = (y[1:] - y[:-1]) / tau
-    l2Vstar_du = math.sqrt(tau * sum(v @ v for v in dy))
+    states = np.asarray(states, dtype=float)
+    h_norms = kit.h(states)
+    l2V = math.sqrt(tau * kit.v_sq(states[1:]).sum())
+    y = kit.whiten(kit.M.matvec(states).T)
+    dy = np.diff(y, axis=0) / tau
+    l2Vstar_du = math.sqrt(tau * np.einsum("ij,ij->", dy, dy))
     bv2 = bv2_seminorm(list(y), _euclidean)
-    return NormReport(l2V, linfH, cH, l2Vstar_du, bv2)
-
-
-def l2_vstar_gap(mesh, pc, pl):
-    """sqrt of the time integral of ||pc(t) - pl(t)||_{V*}^2.
-
-    Two-point Gauss quadrature per step interval, exact for the quadratic
-    integrand and blind to the measure-zero interval endpoints where the
-    piecewise-constant interpolant switches value.
-    """
-    kit = MeshNorms(mesh)
-    tau = pc.tau
-    offsets = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
-    times = [(k - 1 + theta) * tau for k in range(1, pc.num_steps + 1) for theta in offsets]
-    y = kit.whiten_h_embeddings([pc(t) - pl(t) for t in times])
-    return math.sqrt(sum(0.5 * tau * (v @ v) for v in y))
+    return NormReport(l2V, float(h_norms[1:].max()), float(h_norms.max()), l2Vstar_du, bv2)
 
 
 def bv2_seminorm(values, norm):
@@ -266,13 +247,11 @@ class BoundSuiteVerdict:
 
 def _lemma_quantities(tree):
     kit = MeshNorms(tree.mesh)
-    states = tree.chain_states()
-    tau = tree.config.tau
-    h = [kit.h(s) for s in states]
-    q1 = max(h[1:])
-    q2 = sum(kit.h(b - a) ** 2 for a, b in zip(states, states[1:]))
-    q3 = tau * sum(kit.v_sq(s) for s in states[1:])
-    return q1, q2, q3
+    states = np.array(tree.chain_states())
+    q1 = kit.h(states[1:]).max()
+    q2 = (kit.h(np.diff(states, axis=0)) ** 2).sum()
+    q3 = tree.config.tau * kit.v_sq(states[1:]).sum()
+    return float(q1), float(q2), float(q3)
 
 
 def apriori_bound_suite(runs):
@@ -376,25 +355,18 @@ def convergence_study(problem, tau_list, reference_tau, enforce_separation=True)
         raise ValueError("reference tau must be at most min(tau_list)/4")
     kit = MeshNorms(problem.mesh)
     ref_tree = problem.solve(reference_tau)
-    ref_states = ref_tree.path_states(0)
-    counts = {}
+    ref_states = np.array(ref_tree.path_states(0))
     rows = []
     for tau in taus:
         ratio = _coincident_ratio(tau, reference_tau)
         tree = problem.solve(tau)
-        states = tree.path_states(0)
-        n_steps = len(states) - 1
-        err_ch = max(
-            kit.h(states[k] - ref_states[k * ratio]) for k in range(1, n_steps + 1)
-        )
-        acc = 0.0
-        for m in range(1, len(ref_states)):
-            k = -(-m // ratio)  # ceil(m/ratio): coarse interval containing ref interval m
-            diff = states[k] - ref_states[m]
-            acc += reference_tau * kit.v_sq(diff)
-        rows.append(ConvergenceRow(tau, err_ch, math.sqrt(acc), tree.max_branch_count))
-        counts[tau] = tree.max_branch_count
-    mismatch = len(set(counts.values()) | {ref_tree.max_branch_count}) > 1
+        states = np.array(tree.path_states(0))
+        err_ch = kit.h(states[1:] - ref_states[ratio::ratio]).max()
+        # coarse interval k = ceil(m/ratio) holds reference interval m
+        diff = np.repeat(states[1:], ratio, axis=0) - ref_states[1:]
+        err_l2v = math.sqrt(reference_tau * kit.v_sq(diff).sum())
+        rows.append(ConvergenceRow(tau, float(err_ch), err_l2v, tree.max_branch_count))
+    mismatch = len({r.branch_count for r in rows} | {ref_tree.max_branch_count}) > 1
     return ConvergenceTable(rows, reference_tau, branch_mismatch=mismatch)
 
 

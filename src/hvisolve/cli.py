@@ -2,8 +2,8 @@
 studies, and the abstract-condition checker.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure
-(no-solution step or singular system), 3 I/O error.  The environment variable
-HVI_OUT overrides the output directory.
+(no-solution step, singular system, non-finite state or norm), 3 I/O error.
+The environment variable HVI_OUT overrides the output directory.
 """
 
 import argparse
@@ -313,6 +313,8 @@ def _solve(cfg, policy):
             "no solution on any segment at step %r (%d step failures recorded)"
             % (tree.no_solution_level, len(tree.step_failures))
         )
+    if not all(np.isfinite(b.state).all() for level in tree.levels for b in level):
+        raise FloatingPointError("non-finite state in the solution tree")
     return tree
 
 
@@ -320,10 +322,12 @@ def cmd_run(args):
     cfg = merge_config(args)
     outdir = output_dir(cfg)
     tree = _solve(cfg, cfg.policy)
+    report = interpolant_norms(tree.mesh, tree.path_states(0), cfg.dt)
+    if not np.isfinite(report.csv_row()).all():
+        raise FloatingPointError("non-finite norm in %r" % (report,))
     write_trajectory(outdir / "trajectory.csv", tree)
     write_surface(outdir / "surface.csv", tree)
     write_plot_script(outdir / "plot.gp")
-    report = interpolant_norms(tree.mesh, tree.path_states(0), cfg.dt)
     write_csv(outdir / "norms.csv", NormReport.CSV_HEADER, [report.csv_row()])
     if args.dump_matrices:
         write_matrices(outdir, tree.mesh)
@@ -365,6 +369,9 @@ def cmd_converge(args):
         reference = float(args.reference_tau)
     except ValueError as err:
         raise ConfigError("bad tau list: %s" % err) from err
+    for tau in taus + [reference]:
+        if not (math.isfinite(tau) and tau > 0):
+            raise ConfigError("every tau must be positive and finite, got %r" % (tau,))
     mesh = Mesh1D.uniform(cfg.nx)
     _, graph = parse_potential(cfg)
     problem = StudyProblem(
@@ -468,7 +475,7 @@ def main(argv=None):
     except ConfigError as err:
         print("config error: %s" % err, file=sys.stderr)
         return 1
-    except (NoSolutionError, SingularSystemError) as err:
+    except (NoSolutionError, SingularSystemError, FloatingPointError) as err:
         print("numerical failure: %s" % err, file=sys.stderr)
         return 2
     except OSError as err:

@@ -76,9 +76,10 @@ class TridiagonalSystem:
         return TridiagonalSystem(self.lower * s, self.diag * s, self.upper * s)
 
     def matvec(self, x):
+        """A x for a vector x, or A applied to each row of an (m, n) stack."""
         y = self.diag * x
-        y[:-1] = y[:-1] + self.upper * x[1:]
-        y[1:] = y[1:] + self.lower * x[:-1]
+        y[..., :-1] = y[..., :-1] + self.upper * x[..., 1:]
+        y[..., 1:] = y[..., 1:] + self.lower * x[..., :-1]
         return y
 
     def to_dense(self):

@@ -22,7 +22,6 @@ both; ``run`` merges coinciding states once per level.
 
 import functools
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -334,64 +333,6 @@ def run(config, mesh, graph, u0, f=None, branch_policy="all"):
             break
         tree.levels.append(kept)
     return tree
-
-
-@dataclass
-class Interpolant:
-    """Time interpolant of the step snapshots: constant or linear in time."""
-
-    kind: str  # "piecewise_constant" | "piecewise_linear"
-    tau: float
-    snapshots: np.ndarray  # (N+1, n)
-
-    def __post_init__(self):
-        if self.kind not in ("piecewise_constant", "piecewise_linear"):
-            raise ValueError("unknown interpolant kind %r" % (self.kind,))
-        self.snapshots = np.asarray(self.snapshots, dtype=float)
-
-    @property
-    def num_steps(self):
-        return len(self.snapshots) - 1
-
-    @property
-    def horizon(self):
-        return self.num_steps * self.tau
-
-    def __call__(self, t):
-        if t < -1e-12 or t > self.horizon + 1e-12:
-            raise ValueError("t=%r outside [0, %r]" % (t, self.horizon))
-        s = t / self.tau
-        if self.kind == "piecewise_constant":
-            # value is snapshot k on ((k-1)tau, k tau]
-            k = min(self.num_steps, max(0, int(math.ceil(s - 1e-12))))
-            return self.snapshots[k]
-        near = round(s)
-        if 0 <= near <= self.num_steps and abs(s - near) <= 1e-12 * max(1.0, abs(s)):
-            return self.snapshots[near]  # exact at interpolation nodes
-        k = min(self.num_steps - 1, max(0, int(math.floor(s))))
-        theta = s - k
-        return (1.0 - theta) * self.snapshots[k] + theta * self.snapshots[k + 1]
-
-    def derivative(self, t):
-        """A.e. time derivative; constant (u^k - u^{k-1})/tau inside interval k."""
-        if self.kind != "piecewise_linear":
-            raise ValueError("derivative defined for the piecewise linear interpolant")
-        s = t / self.tau
-        k = min(self.num_steps - 1, max(0, int(math.floor(s))))
-        return (self.snapshots[k + 1] - self.snapshots[k]) / self.tau
-
-    def differences(self):
-        """Forward differences u^k - u^{k-1}, k = 1..N."""
-        return self.snapshots[1:] - self.snapshots[:-1]
-
-
-def make_interpolants(states, tau):
-    """Both interpolants over one root-to-leaf snapshot path."""
-    snaps = np.asarray(states, dtype=float)
-    return (
-        Interpolant("piecewise_constant", tau, snaps),
-        Interpolant("piecewise_linear", tau, snaps),
-    )
 
 
 TRAJECTORY_HEADER = ["t", "branch_id", "parent_id", "case_tag"]

@@ -8,6 +8,7 @@ programming, and finite differences instead of exact graph values.
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -36,6 +37,24 @@ def dense_dual_norm(mesh, g):
     functional with action vector g."""
     g = np.asarray(g, dtype=float)
     return float(np.sqrt(g @ np.linalg.solve(_dense_mass_plus_stiffness(mesh), g)))
+
+
+def interpolant_gap(mesh, states, tau):
+    """sqrt of the time integral of ||pc(t) - pl(t)||_{V*}^2, where pc and pl
+    are the piecewise constant and piecewise linear interpolants of the
+    snapshot path ``states`` with step ``tau``.
+
+    Both interpolants are evaluated at two Gauss points per step interval,
+    which is exact for the quadratic integrand: at t = (k - 1 + theta)*tau,
+    pc(t) = u^k and pl(t) = (1 - theta)*u^{k-1} + theta*u^k.
+    """
+    m = assemble_mass(mesh).to_dense().astype(float)
+    acc = 0.0
+    for prev, cur in zip(states, states[1:]):
+        for theta in (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)):
+            pl = (1.0 - theta) * prev + theta * cur
+            acc += 0.5 * tau * dense_dual_norm(mesh, m @ (cur - pl)) ** 2
+    return math.sqrt(acc)
 
 
 def schur_scan_solutions(mesh, graph, prev, tau, f_k=None, grid=1e-5, tol=1e-9):

@@ -25,15 +25,19 @@ from hvisolve import (
     convergence_study,
     heat_series_solution,
     interpolant_norms,
-    l2_vstar_gap,
-    make_interpolants,
     potential_j1,
     potential_j2,
     rothe_step_all,
     run,
     zero_flux_graph,
 )
-from oracles import brute_force_bv2, fd_directional_sup, random_potential, schur_scan_solutions
+from oracles import (
+    brute_force_bv2,
+    fd_directional_sup,
+    interpolant_gap,
+    random_potential,
+    schur_scan_solutions,
+)
 
 
 @contextmanager
@@ -180,12 +184,6 @@ def test_criterion_05_step_solver_completeness():
         assert branched >= 5
 
 
-def _derivative_vstar_sq(mesh, pc):
-    kit = MeshNorms(mesh)
-    tau = pc.tau
-    return tau * sum(kit.dual(kit.M.matvec(d / tau)) ** 2 for d in pc.differences())
-
-
 def test_criterion_06_interpolant_identity():
     with criterion(6, "interpolant gap identity", 5.0):
         mesh = preset_mesh()
@@ -198,9 +196,10 @@ def test_criterion_06_interpolant_identity():
             cfg = preset_config()
             tree = run(cfg, mesh, graph, lambda x: 2.0, branch_policy=policy)
             assert tree.completed()
-            pc, pl = make_interpolants(tree.chain_states(), cfg.tau)
-            lhs = l2_vstar_gap(mesh, pc, pl) ** 2
-            rhs = cfg.tau**2 / 3.0 * _derivative_vstar_sq(mesh, pc)
+            states = tree.chain_states()
+            lhs = interpolant_gap(mesh, states, cfg.tau) ** 2
+            du = interpolant_norms(mesh, states, cfg.tau).l2Vstar_of_derivative
+            rhs = cfg.tau**2 / 3.0 * du**2
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
 

@@ -18,13 +18,11 @@ from hvisolve import (
     convergence_study,
     heat_series_solution,
     interpolant_norms,
-    l2_vstar_gap,
-    make_interpolants,
     potential_j2,
     run,
     zero_flux_graph,
 )
-from oracles import brute_force_bv2, dense_dual_norm
+from oracles import brute_force_bv2, dense_dual_norm, interpolant_gap
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +113,8 @@ def test_gap_equals_scaled_derivative_norm_pure_heat():
     mesh = Mesh1D.uniform(25)
     cfg = RotheConfig.from_step(0.04, 0.6)
     states = run(cfg, mesh, zero_flux_graph(), lambda x: 2.0).chain_states()
-    pc, pl = make_interpolants(states, cfg.tau)
     report = interpolant_norms(mesh, states, cfg.tau)
-    gap = l2_vstar_gap(mesh, pc, pl)
+    gap = interpolant_gap(mesh, states, cfg.tau)
     assert gap == pytest.approx(cfg.tau / math.sqrt(3.0) * report.l2Vstar_of_derivative, rel=1e-10)
 
 
@@ -250,6 +247,38 @@ def test_convergence_pure_heat_errors_shrink():
     assert errs[0] > errs[1] > errs[2] > 0
     assert table.rows[0].tau > table.rows[1].tau > table.rows[2].tau
     assert not table.branch_mismatch
+
+
+def test_bound_and_convergence_sums_match_dense_loops():
+    # per-vector loops over dense matrices, with the coarse interval of each
+    # reference interval m taken as ceil(m/ratio)
+    mesh = Mesh1D.uniform(12)
+    graph = clarke_subdifferential(potential_j2())
+    m = assemble_mass(mesh).to_dense().astype(float)
+    mk = m + assemble_stiffness(mesh).to_dense().astype(float)
+    problem = StudyProblem(mesh=mesh, graph=graph, u0=lambda x: 2.0, horizon=0.4)
+    ref_tau = 0.005
+    ref_tree = problem.solve(ref_tau)
+    ref = ref_tree.chain_states()
+    table = convergence_study(problem, [0.04, 0.02], ref_tau)
+    for row in table.rows:
+        tree = problem.solve(row.tau)
+        states = tree.chain_states()
+        ratio = round(row.tau / ref_tau)
+        err_ch = max(math.sqrt((states[k] - ref[k * ratio]) @ m @ (states[k] - ref[k * ratio]))
+                     for k in range(1, len(states)))
+        acc = 0.0
+        for i in range(1, len(ref)):
+            d = states[-(-i // ratio)] - ref[i]
+            acc += ref_tau * (d @ mk @ d)
+        assert row.err_CH == pytest.approx(err_ch, rel=1e-12)
+        assert row.err_L2V == pytest.approx(math.sqrt(acc), rel=1e-12)
+
+        q1 = max(math.sqrt(s @ m @ s) for s in states[1:])
+        q2 = sum((b - a) @ m @ (b - a) for a, b in zip(states, states[1:]))
+        q3 = row.tau * sum(s @ mk @ s for s in states[1:])
+        got = apriori_bound_suite([tree, ref_tree]).rows[0][1:]
+        assert got == pytest.approx((q1, q2, q3), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,18 @@ def test_run_reports_numerical_failure(tmp_path):
     assert code == 2
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_run_non_finite_norm_is_numerical_failure(tmp_path, capsys):
+    # finite pieces, but states near -3e307 overflow the quadratic forms:
+    # the V norm is NaN and must not be written as 0.0
+    code = _run_cli("run", "--potential", "custom", "--pieces", "0:1e308:0",
+                    "--nx", "4", "--dt", "0.1", "--T", "0.2", "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "numerical failure:" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "norms.csv").exists()
+
+
 def test_branches_flat_graph_zero_spread(tmp_path):
     out = tmp_path / "o"
     code = _run_cli("branches", "--potential", "custom", "--pieces", "0:0:0",
@@ -117,6 +129,17 @@ def test_converge_writes_table(tmp_path):
     assert float(rows[0][0]) > float(rows[1][0])
     assert float(rows[0][1]) > float(rows[1][1]) > 0
     assert all(int(r[3]) == 1 for r in rows)
+
+
+def test_converge_rejects_bad_taus(tmp_path, capsys):
+    for bad, want in (("inf", "inf"), ("nan", "nan"), ("0", "0.0"), ("-0.01", "-0.01")):
+        for taus, reference in (("0.02," + bad, "0.005"), ("0.02", bad)):
+            code = _run_cli("converge", "--potential", "j2", "--nx", "10", "--T", "0.2",
+                            "--taus=" + taus, "--reference-tau=" + reference,
+                            "--out", str(tmp_path / "o"))
+            err = capsys.readouterr().err
+            assert code == 1, (taus, reference)
+            assert "config error:" in err and "got " + want in err, (taus, reference, err)
 
 
 def test_check_command(tmp_path, capsys):

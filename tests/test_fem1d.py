@@ -160,12 +160,46 @@ def test_ldl_factor_rejects_singular_and_nonsymmetric():
         factor_ldl(TridiagonalSystem(np.array([1.0]), np.array([3.0, 3.0]), np.array([2.0])))
 
 
+def test_matvec_row_stack_matches_rows():
+    rng = np.random.default_rng(41)
+    mesh = Mesh1D.uniform(9)
+    stack = rng.uniform(-2, 2, (7, mesh.n))
+    for sys_ in (assemble_mass(mesh), assemble_stiffness(mesh)):
+        want = np.array([sys_.matvec(row) for row in stack])
+        assert np.array_equal(sys_.matvec(stack), want)
+
+
+def test_norms_of_row_stack_match_rows_and_dense():
+    rng = np.random.default_rng(43)
+    for n in (2, 5, 17):
+        mesh = Mesh1D.uniform(n)
+        kit = MeshNorms(mesh)
+        m = assemble_mass(mesh).to_dense().astype(float)
+        mk = m + assemble_stiffness(mesh).to_dense().astype(float)
+        stack = rng.uniform(-2, 2, (6, n))
+        h, v_sq = kit.h(stack), kit.v_sq(stack)
+        assert h.shape == v_sq.shape == (6,)
+        for c, h_c, v_c in zip(stack, h, v_sq):
+            assert h_c == pytest.approx(kit.h(c), rel=1e-12)
+            assert v_c == pytest.approx(kit.v_sq(c), rel=1e-12)
+            assert h_c == pytest.approx(np.sqrt(c @ m @ c), rel=1e-12)
+            assert v_c == pytest.approx(c @ mk @ c, rel=1e-12)
+
+
+def test_norms_propagate_nan():
+    kit = MeshNorms(Mesh1D.uniform(4))
+    stack = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, np.nan, 3.0, 4.0]])
+    for norms in (kit.h(stack), kit.v_sq(stack)):
+        assert np.isfinite(norms[0]) and np.isnan(norms[1])
+    assert np.isnan(kit.h(stack[1])) and np.isnan(kit.v_sq(stack[1]))
+
+
 def test_norms_zero_vector():
     mesh = Mesh1D.uniform(6)
     kit = MeshNorms(mesh)
     z = np.zeros(6)
     assert kit.h(z) == 0.0
-    assert kit.v(z) == 0.0
+    assert kit.v_sq(z) == 0.0
     assert kit.dual(z) == 0.0
 
 
@@ -175,7 +209,7 @@ def test_norms_of_linear_interpolant():
     c = mesh.nodes  # interpolates v(x) = x
     # exact: |v|_{L2}^2 = 1/3 and |v'|_{L2}^2 = 1 (P1 interpolation is exact here)
     assert kit.h(c) == pytest.approx(1 / np.sqrt(3), abs=1e-3)
-    assert kit.v(c) ** 2 - kit.h(c) ** 2 == pytest.approx(1.0, abs=1e-3)
+    assert kit.v_sq(c) - kit.h(c) ** 2 == pytest.approx(1.0, abs=1e-3)
 
 
 def test_dual_norm_riesz_isometry():
@@ -186,7 +220,7 @@ def test_dual_norm_riesz_isometry():
     for _ in range(10):
         c = rng.uniform(-1, 1, mesh.n)
         g = mk.matvec(c)
-        assert kit.dual(g) == pytest.approx(kit.v(c), rel=1e-10)
+        assert kit.dual(g) == pytest.approx(np.sqrt(kit.v_sq(c)), rel=1e-10)
 
 
 def test_dual_norm_matches_dense_oracle():

