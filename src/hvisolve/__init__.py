@@ -21,10 +21,12 @@ from .analysis import (
 from .fem1d import (
     Mesh1D,
     SingularSystemError,
+    ThomasFactor,
     TridiagonalSystem,
     assemble_mass,
     assemble_stiffness,
     factor_ldl,
+    factor_tridiagonal,
     solve_tridiagonal,
 )
 from .nonsmooth import (

@@ -383,6 +383,8 @@ def cmd_converge(args):
         table = convergence_study(problem, taus, reference)
     except ValueError as err:
         raise ConfigError(str(err)) from err
+    if not np.isfinite(np.array(table.csv_rows(), dtype=float)).all():
+        raise FloatingPointError("non-finite error in the convergence table")
     write_csv(outdir / "convergence.csv", table.CSV_HEADER, table.csv_rows())
     for row in table.rows:
         print("tau=%-10g err_CH=%.6e err_L2V=%.6e branches=%d"

@@ -114,37 +114,81 @@ def assemble_stiffness(mesh):
     return TridiagonalSystem(_array(off), _array(diag), _array(off))
 
 
+@dataclass(frozen=True)
+class ThomasFactor:
+    """Thomas elimination of a tridiagonal matrix, done once for many solves.
+
+    Row i of the forward sweep is ``d_i = (b_i - lower[i-1]*d_{i-1}) / pivots[i]``
+    and of the back sweep ``x_i = d_i - mult[i]*x_{i+1}``, with
+    ``mult[i] = upper[i] / pivots[i]``.  The entries are Python floats, so a
+    vector solve runs on floats instead of numpy scalars; the arithmetic per
+    column is the same for a vector and for an array of columns.
+    """
+
+    lower: tuple
+    pivots: tuple
+    mult: tuple
+
+    @property
+    def size(self):
+        return len(self.pivots)
+
+    def solve(self, rhs):
+        """Solve for a vector, or for each column of an (n, m) array in one row sweep."""
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.ndim not in (1, 2) or len(rhs) != self.size:
+            raise ValueError("rhs shape %s does not fit system size %d" % (rhs.shape, self.size))
+        if rhs.ndim == 1:
+            return np.array(self._substitute(rhs.tolist()), dtype=float)
+        return self._substitute(rhs.copy())
+
+    def _substitute(self, x):
+        # Overwrites x, a list of floats or an (n, m) array holding the
+        # right-hand side, with the solution, one row at a time.
+        lower, pivots, mult = self.lower, self.pivots, self.mult
+        xi = x[0] / pivots[0]
+        x[0] = xi
+        for i in range(1, len(x)):
+            xi = (x[i] - lower[i - 1] * xi) / pivots[i]
+            x[i] = xi
+        for i in range(len(x) - 2, -1, -1):
+            xi = x[i] - mult[i] * xi
+            x[i] = xi
+        return x
+
+
+def factor_tridiagonal(sys):
+    """Pivots and multipliers of Thomas elimination; raises SingularSystemError
+    on |pivot| < 1e-14.
+
+    Entries are taken as floats, so a ``Fraction`` matrix factors like the
+    float matrix of its rounded entries.
+    """
+    diag = np.asarray(sys.diag, dtype=float).tolist()
+    lower = np.asarray(sys.lower, dtype=float).tolist()
+    upper = np.asarray(sys.upper, dtype=float).tolist()
+    pivots = []
+    mult = []
+    piv = diag[0]
+    for i in range(sys.size):
+        if i > 0:
+            mult.append(upper[i - 1] / piv)
+            piv = diag[i] - lower[i - 1] * mult[-1]
+        if abs(piv) < PIVOT_TOL:
+            raise SingularSystemError("zero pivot at row %d" % i)
+        pivots.append(piv)
+    return ThomasFactor(tuple(lower), tuple(pivots), tuple(mult))
+
+
 def solve_tridiagonal(sys, rhs):
     """Thomas elimination; raises SingularSystemError on |pivot| < 1e-14.
 
     ``rhs`` is a vector or an (n, m) array; an array is solved for all m
     columns in one sweep over the rows, with the same arithmetic per column
-    as the vector solve.
+    as the vector solve.  To solve with one matrix many times, factor it once
+    with ``factor_tridiagonal``.
     """
-    n = sys.size
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.ndim not in (1, 2) or len(rhs) != n:
-        raise ValueError("rhs shape %s does not fit system size %d" % (rhs.shape, n))
-    c = np.empty(n - 1) if n > 1 else np.empty(0)
-    d = np.empty(rhs.shape)
-    piv = sys.diag[0]
-    if abs(piv) < PIVOT_TOL:
-        raise SingularSystemError("zero pivot at row 0")
-    d[0] = rhs[0] / piv
-    if n > 1:
-        c[0] = sys.upper[0] / piv
-    for i in range(1, n):
-        piv = sys.diag[i] - sys.lower[i - 1] * c[i - 1]
-        if abs(piv) < PIVOT_TOL:
-            raise SingularSystemError("zero pivot at row %d" % i)
-        d[i] = (rhs[i] - sys.lower[i - 1] * d[i - 1]) / piv
-        if i < n - 1:
-            c[i] = sys.upper[i] / piv
-    x = np.empty(rhs.shape)
-    x[-1] = d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
-    return x
+    return factor_tridiagonal(sys).solve(rhs)
 
 
 def factor_ldl(sys):
@@ -152,18 +196,13 @@ def factor_ldl(sys):
 
     Returns L as a TridiagonalSystem with a zero upper diagonal, so that
     ``solve_tridiagonal(L, b)`` is the forward sweep L^{-1} b, and the pivots
-    D as a vector.  Raises SingularSystemError on |pivot| < 1e-14.
+    D as a vector.  Raises SingularSystemError on |pivot| < 1e-14.  On a
+    symmetric matrix these are the Thomas pivots, and L's subdiagonal is the
+    Thomas multipliers.
     """
     if not np.array_equal(sys.lower, sys.upper):
         raise ValueError("LDL^T factorization needs a symmetric matrix")
+    factor = factor_tridiagonal(sys)
     n = sys.size
-    d = np.empty(n)
-    low = np.empty(n - 1)
-    for i in range(n):
-        d[i] = sys.diag[i]
-        if i > 0:
-            low[i - 1] = sys.lower[i - 1] / d[i - 1]
-            d[i] -= low[i - 1] * sys.upper[i - 1]
-        if abs(d[i]) < PIVOT_TOL:
-            raise SingularSystemError("zero pivot at row %d" % i)
-    return TridiagonalSystem(low, np.ones(n), np.zeros(n - 1)), d
+    low = TridiagonalSystem(np.array(factor.mult), np.ones(n), np.zeros(n - 1))
+    return low, np.array(factor.pivots)

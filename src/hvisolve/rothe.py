@@ -7,9 +7,10 @@ Each step solves the discrete inclusion
 where dj is a multivalued boundary graph acting on the last nodal value.
 Eliminating the interior unknowns (the Schur complement of A = M/tau + K at
 the boundary node) leaves one scalar relation: a boundary value r requires
-the flux xi = e0 - g*r, and the interior is then y - r*w.  The slope g and the
-interior response w depend only on (mesh, tau) and are built once; each
-parent state costs one interior solve for y and e0.  Every graph segment is
+the flux xi = e0 - g*r, and the interior is then y - r*w.  The slope g, the
+interior response w and the Thomas factor of the interior matrix depend only
+on (mesh, tau) and are built once; each parent state costs one substitution
+on that factor for y and e0.  Every graph segment is
 then intersected with the line xi = e0 - g*r by one scalar test: an affine
 segment gives r = (e0 - intercept)/(g + slope), checked against its interval;
 a vertical segment at r0 checks e0 - g*r0 against its flux interval.  A
@@ -28,9 +29,11 @@ import numpy as np
 
 from .fem1d import (
     Mesh1D,
+    ThomasFactor,
     TridiagonalSystem,
     assemble_mass,
     assemble_stiffness,
+    factor_tridiagonal,
     solve_tridiagonal,
 )
 from .nonsmooth import VerticalSegment
@@ -175,15 +178,15 @@ def project_initial(mesh, u0):
 class _SchurOperator:
     """What one backward-Euler step needs of (mesh, tau), built once.
 
-    ``interior`` is A = M/tau + K without its last row and column, and
-    ``coupling`` the entry joining the interior to the boundary node.
-    ``w = interior^{-1} A[:-1, -1]`` and the Schur complement
+    ``interior`` is the Thomas factor of A = M/tau + K without its last row
+    and column, and ``coupling`` the entry joining the interior to the
+    boundary node.  ``w = interior^{-1} A[:-1, -1]`` and the Schur complement
     ``g = A[-1, -1] - coupling * w[-1]`` turn the last equation into
     xi = e0 - g*r.
     """
 
     mass: TridiagonalSystem
-    interior: TridiagonalSystem
+    interior: ThomasFactor
     coupling: float
     w: np.ndarray
     g: float
@@ -200,10 +203,12 @@ def _schur_operator(n, dx, tau):
     coupling = float(a.upper[-1])
     col = np.zeros(n - 1)
     col[-1] = coupling
+    # A second elimination, once per cache entry: it keeps a caller for
+    # rothe.solve_tridiagonal, the name bench/tracing.py wraps as the step solve.
     w = solve_tridiagonal(interior, col)
     w.setflags(write=False)  # shared by every caller of the cache
     g = float(a.diag[-1] - a.lower[-1] * w[-1])
-    return _SchurOperator(mass, interior, coupling, w, g)
+    return _SchurOperator(mass, factor_tridiagonal(interior), coupling, w, g)
 
 
 def _parallel_message(seg, e0):
@@ -230,7 +235,7 @@ def rothe_step_all(mesh, graph, prev, tau, f_k=None, failures=None):
     rhs = op.mass.matvec(np.asarray(prev, dtype=float)) / tau
     if f_k is not None:
         rhs = rhs + np.asarray(f_k, dtype=float)
-    y = solve_tridiagonal(op.interior, rhs[:-1])
+    y = op.interior.solve(rhs[:-1])
     e0 = float(rhs[-1] - op.coupling * y[-1])
     g = op.g
 
@@ -260,15 +265,30 @@ def rothe_step_all(mesh, graph, prev, tau, f_k=None, failures=None):
 
 
 def _merge_duplicates(candidates):
-    """Candidates in order, without those within DEDUPE_TOL (max norm) of a kept one."""
+    """Candidates in order, without those within DEDUPE_TOL (max norm) of a kept one.
+
+    Two states within DEDUPE_TOL of each other have boundary values within it
+    too, so each candidate is compared only with the kept states whose
+    boundary value lies within 2*DEDUPE_TOL of its own (the factor 2 covers
+    rounding in the window ends), found in the boundary values sorted once.
+    """
     if len(candidates) < 2:
         return candidates
     states = np.stack([c.state for c in candidates])
-    keep = [0]
-    for i in range(1, len(states)):
-        if not (np.abs(states[keep] - states[i]).max(axis=1) < DEDUPE_TOL).any():
-            keep.append(i)
-    return [candidates[i] for i in keep]
+    bounds = states[:, -1]
+    order = np.argsort(bounds, kind="stable")
+    ranked = bounds[order]
+    starts = np.searchsorted(ranked, bounds - 2 * DEDUPE_TOL, side="left").tolist()
+    stops = np.searchsorted(ranked, bounds + 2 * DEDUPE_TOL, side="right").tolist()
+    kept = np.zeros(len(states), dtype=bool)
+    for i, (lo, hi) in enumerate(zip(starts, stops)):
+        if hi - lo > 1:  # the window always holds candidate i itself
+            near = order[lo:hi]
+            near = near[kept[near]]
+            if (np.abs(states[near] - states[i]).max(axis=1) < DEDUPE_TOL).any():
+                continue
+        kept[i] = True
+    return [c for c, k in zip(candidates, kept.tolist()) if k]
 
 
 def _select(candidates, policy):

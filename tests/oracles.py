@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's solution paths: dense numpy
 linear algebra instead of the tridiagonal elimination, grid scanning instead
 of segment folding, exhaustive subsequence enumeration instead of dynamic
-programming, and finite differences instead of exact graph values.
+programming, finite differences instead of exact graph values, and all-pairs
+comparison instead of a window on sorted boundary values.
 """
 
 import functools
@@ -122,6 +123,17 @@ def schur_scan_solutions(mesh, graph, prev, tau, f_k=None, grid=1e-5, tol=1e-9):
         if not out or abs(r - out[-1]) > 1e-9:
             out.append(r)
     return out
+
+
+def greedy_merge_indices(states, tol):
+    """Indices of the rows kept when merging ``states`` in order: a row is
+    dropped when its max-norm distance to an earlier kept row is below
+    ``tol``.  Compares every row with every kept row, O(B^2)."""
+    keep = []
+    for i, s in enumerate(states):
+        if not any(np.abs(states[j] - s).max() < tol for j in keep):
+            keep.append(i)
+    return keep
 
 
 def fd_directional_sup(j, r, d, steps=(1e-3, 1e-4, 1e-5, 1e-6)):

@@ -77,6 +77,18 @@ def test_run_non_finite_norm_is_numerical_failure(tmp_path, capsys):
     assert not (tmp_path / "o" / "norms.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_converge_non_finite_error_is_numerical_failure(tmp_path, capsys):
+    # the same overflowing states give err_CH = inf and err_L2V = nan
+    code = _run_cli("converge", "--potential", "custom", "--pieces", "0:1e308:0",
+                    "--nx", "4", "--T", "0.2", "--taus", "0.1", "--reference-tau", "0.025",
+                    "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "numerical failure:" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "convergence.csv").exists()
+
+
 def test_branches_flat_graph_zero_spread(tmp_path):
     out = tmp_path / "o"
     code = _run_cli("branches", "--potential", "custom", "--pieces", "0:0:0",

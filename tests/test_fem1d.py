@@ -11,6 +11,7 @@ from hvisolve import (
     assemble_mass,
     assemble_stiffness,
     factor_ldl,
+    factor_tridiagonal,
     solve_tridiagonal,
 )
 
@@ -119,6 +120,7 @@ def test_solve_multi_column_matches_vector_and_dense_solves():
         lower, upper = rng.uniform(-1, 1, n - 1), rng.uniform(-1, 1, n - 1)
         diag = 3.0 + rng.uniform(0, 1, n)  # diagonally dominant
         sys_ = TridiagonalSystem(lower, diag, upper)
+        factor = factor_tridiagonal(sys_)
         rhs = rng.uniform(-2, 2, (n, 5))
         x = solve_tridiagonal(sys_, rhs)
         assert x.shape == (n, 5)
@@ -126,14 +128,38 @@ def test_solve_multi_column_matches_vector_and_dense_solves():
             assert np.array_equal(x[:, j], solve_tridiagonal(sys_, rhs[:, j]))
         dense = np.linalg.solve(sys_.to_dense(), rhs)
         assert np.max(np.abs(x - dense)) <= 1e-12 * np.max(np.abs(dense))
+        # one factor serves many solves, vectors and arrays alike, and each
+        # equals a fresh elimination bit for bit
+        for _ in range(20):
+            b = rng.uniform(-2, 2, (n, 3))
+            assert np.array_equal(factor.solve(b), solve_tridiagonal(sys_, b))
+            assert np.array_equal(factor.solve(b[:, 0]), solve_tridiagonal(sys_, b[:, 0]))
+        assert np.array_equal(factor.solve(rhs), x)
 
 
 def test_solve_multi_column_rejects_singular_pivot():
     first = TridiagonalSystem(np.array([1.0]), np.array([0.0, 1.0]), np.array([1.0]))
     second = TridiagonalSystem(np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0]))
-    for sys_ in (first, second):
+    for row, sys_ in enumerate((first, second)):
         with pytest.raises(SingularSystemError):
             solve_tridiagonal(sys_, np.ones((2, 3)))
+        # the factor raises before any right-hand side is seen
+        with pytest.raises(SingularSystemError, match="row %d" % row):
+            factor_tridiagonal(sys_)
+
+
+def test_factor_of_fraction_mesh_matches_float_mesh():
+    # dx = 1/8: every float entry is the rounded exact one, so the Fraction
+    # matrices factor and solve exactly like the float ones
+    exact, rounded = Mesh1D(8, Fraction(1, 8)), Mesh1D(8, 0.125)
+    rhs = np.random.default_rng(13).uniform(-2, 2, (8, 3))
+    for assemble in (assemble_mass, assemble_stiffness):
+        sys_ = assemble(exact)
+        assert sys_.diag.dtype == object
+        factor, want = factor_tridiagonal(sys_), factor_tridiagonal(assemble(rounded))
+        assert factor == want
+        assert np.array_equal(factor.solve(rhs), want.solve(rhs))
+        assert np.array_equal(solve_tridiagonal(sys_, rhs[:, 0]), want.solve(rhs[:, 0]))
 
 
 def test_solve_rejects_mismatched_rhs():

@@ -18,7 +18,12 @@ from hvisolve import (
     zero_flux_graph,
 )
 from hvisolve import rothe
-from oracles import interpolant_gap, random_potential, schur_scan_solutions
+from oracles import (
+    greedy_merge_indices,
+    interpolant_gap,
+    random_potential,
+    schur_scan_solutions,
+)
 
 
 def test_config_validation():
@@ -146,6 +151,55 @@ def test_corner_solution_reported_twice_and_merged_once():
     for policy, level in want.items():
         tree = run(cfg, mesh, graph, lambda x: c, branch_policy=policy)
         assert [(b.branch_id, b.case_tag) for b in tree.levels[1]] == level, policy
+
+
+def _merged_indices(states):
+    candidates = [rothe.StepSolution(s, "a0", 0.0) for s in states]
+    index = {id(c): i for i, c in enumerate(candidates)}
+    return [index[id(c)] for c in rothe._merge_duplicates(candidates)]
+
+
+def test_merge_chain_follows_candidate_order():
+    # A ~ B and B ~ C within DEDUPE_TOL but A !~ C: the greedy merge keeps
+    # whichever of them comes first and decides the rest against it alone
+    tol = rothe.DEDUPE_TOL
+    for moved in (0, -1):  # an interior value (equal boundary values), or the boundary value
+        a = np.array([0.7, -0.2, 0.3])
+        b, c = a.copy(), a.copy()
+        b[moved] += 0.6 * tol
+        c[moved] += 1.2 * tol
+        for order, want in (((a, b, c), [0, 2]), ((b, a, c), [0]), ((a, c, b), [0, 1]),
+                            ((c, b, a), [0, 2])):
+            states = np.array(order)
+            assert _merged_indices(states) == want == greedy_merge_indices(states, tol)
+
+
+def test_windowed_merge_matches_greedy_oracle():
+    tol = rothe.DEDUPE_TOL
+    rng = np.random.default_rng(23)
+    gaps = tol * np.array([0.0, 0.3, 0.999, 1.001, 1.5, 1.999, 2.001, 3.0, 1e3])
+    merged = kept = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 6))
+        base = rng.uniform(-2, 2, (int(rng.integers(1, 8)), n))
+        rows = list(base)
+        for _ in range(int(rng.integers(1, 20))):
+            row = rows[int(rng.integers(len(rows)))].copy()
+            kind = rng.integers(3)
+            if kind == 0:  # near-duplicate: one coordinate moved by a gap around tol
+                row[int(rng.integers(n))] += rng.choice([-1, 1]) * rng.choice(gaps)
+            elif kind == 1:  # same boundary value, different interior
+                row[int(rng.integers(n - 1))] += rng.choice([-1, 1]) * rng.choice(gaps[1:])
+            else:  # every coordinate moved by less than tol
+                row += rng.uniform(-0.99, 0.99, n) * tol
+            rows.append(row)
+        states = np.array(rows)[rng.permutation(len(rows))]
+        want = greedy_merge_indices(states, tol)
+        assert _merged_indices(states) == want
+        merged += len(states) - len(want)
+        kept += len(want) - len(base)
+    # both decisions occur among the planted rows
+    assert merged > 1000 and kept > 1000
 
 
 def test_step_enumeration_matches_scan_oracle():
