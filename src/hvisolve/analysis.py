@@ -302,10 +302,7 @@ class StudyProblem:
 
     def solve(self, tau):
         config = RotheConfig.from_step(tau, self.horizon, max_branches=self.max_branches)
-        tree = run(config, self.mesh, self.graph, self.u0, self.f, self.policy)
-        if not tree.completed():
-            raise RuntimeError("run at tau=%g died at level %r" % (tau, tree.no_solution_level))
-        return tree
+        return run(config, self.mesh, self.graph, self.u0, self.f, self.policy).require_solved()
 
 
 @dataclass
@@ -331,34 +328,31 @@ class ConvergenceTable:
         return [r.err_CH for r in self.rows]
 
 
-def _coincident_ratio(tau, reference_tau):
-    ratio = tau / reference_tau
-    r = round(ratio)
-    if r < 1 or abs(ratio - r) > 1e-9:
-        raise ValueError("tau=%g has no coincident nodes with reference tau=%g" % (tau, reference_tau))
-    return int(r)
-
-
-def convergence_study(problem, tau_list, reference_tau, enforce_separation=True):
+def convergence_study(problem, tau_list, reference_tau):
     """Errors of each tau-run against a fine-step reference run.
 
     err_CH is the max H-norm difference over the coarse run's own time nodes;
     err_L2V integrates the squared V-norm difference of the two
-    piecewise-constant interpolants over the reference intervals.  Only
-    coincident time nodes enter, so every tau must be an integer multiple of
-    the reference step, and the reference step must be at most a quarter of
-    the smallest tau (``enforce_separation=False`` lifts that scale gap, for
-    degenerate self-comparisons).
+    piecewise-constant interpolants over the reference intervals.  Every step
+    must divide the horizon (RotheConfig decides), and only coincident time
+    nodes enter: each tau must span a whole number, at least 4, of reference steps.
     """
     taus = sorted(tau_list, reverse=True)
-    if enforce_separation and reference_tau > min(taus) / 4.0 + 1e-15:
-        raise ValueError("reference tau must be at most min(tau_list)/4")
+    if not taus:
+        raise ValueError("tau_list needs at least one step, got %r" % (tau_list,))
+    ref_steps = RotheConfig.from_step(reference_tau, problem.horizon).num_steps
+    ratios = []
+    for tau in taus:
+        ratio, rest = divmod(ref_steps, RotheConfig.from_step(tau, problem.horizon).num_steps)
+        if rest or ratio < 4:
+            raise ValueError("each tau must be a multiple of at least 4 reference steps "
+                             "(reference tau=%r), got tau=%r" % (reference_tau, tau))
+        ratios.append(ratio)
     kit = MeshNorms(problem.mesh)
     ref_tree = problem.solve(reference_tau)
     ref_states = np.array(ref_tree.path_states(0))
     rows = []
-    for tau in taus:
-        ratio = _coincident_ratio(tau, reference_tau)
+    for tau, ratio in zip(taus, ratios):
         tree = problem.solve(tau)
         states = np.array(tree.path_states(0))
         err_ch = kit.h(states[1:] - ref_states[ratio::ratio]).max()

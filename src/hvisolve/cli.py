@@ -83,20 +83,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.potential is None:
             raise ConfigError("no potential given (use --potential or --preset)")
-        if self.nx < 2:
-            raise ConfigError("nx must be at least 2")
         if self.policy not in BRANCH_POLICIES:
             raise ConfigError("policy must be one of %s" % (", ".join(BRANCH_POLICIES)))
-        for name in ("dt", "T"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError("%s must be positive and finite, got %r" % (name, value))
-        if self.max_branches < 1:
-            raise ConfigError("max_branches must be at least 1, got %r" % (self.max_branches,))
-        ratio = self.T / self.dt  # overflows for a subnormal dt
-        steps = round(ratio) if math.isfinite(ratio) else 0
-        if steps < 1 or abs(steps * self.dt - self.T) > 1e-12:
-            raise ConfigError("dt=%r does not divide T=%r" % (self.dt, self.T))
+        self.discretization()
+
+    def discretization(self):
+        """The mesh and the time grid; their own checks decide, as ConfigError."""
+        try:
+            return (Mesh1D.uniform(self.nx),
+                    RotheConfig.from_step(self.dt, self.T, max_branches=self.max_branches))
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
 
 
 def read_kv_file(path):
@@ -303,19 +300,10 @@ def write_plot_script(path):
 # subcommands
 
 def _solve(cfg, policy):
-    mesh = Mesh1D.uniform(cfg.nx)
     _, graph = parse_potential(cfg)
     u0 = parse_u0(cfg.u0)
-    config = RotheConfig.from_step(cfg.dt, cfg.T, max_branches=cfg.max_branches)
-    tree = run(config, mesh, graph, u0, f=None, branch_policy=policy)
-    if not tree.completed():
-        raise NoSolutionError(
-            "no solution on any segment at step %r (%d step failures recorded)"
-            % (tree.no_solution_level, len(tree.step_failures))
-        )
-    if not all(np.isfinite(b.state).all() for level in tree.levels for b in level):
-        raise FloatingPointError("non-finite state in the solution tree")
-    return tree
+    mesh, grid = cfg.discretization()
+    return run(grid, mesh, graph, u0, f=None, branch_policy=policy).require_solved()
 
 
 def cmd_run(args):
@@ -369,13 +357,9 @@ def cmd_converge(args):
         reference = float(args.reference_tau)
     except ValueError as err:
         raise ConfigError("bad tau list: %s" % err) from err
-    for tau in taus + [reference]:
-        if not (math.isfinite(tau) and tau > 0):
-            raise ConfigError("every tau must be positive and finite, got %r" % (tau,))
-    mesh = Mesh1D.uniform(cfg.nx)
     _, graph = parse_potential(cfg)
     problem = StudyProblem(
-        mesh=mesh, graph=graph, u0=parse_u0(cfg.u0),
+        mesh=cfg.discretization()[0], graph=graph, u0=parse_u0(cfg.u0),
         policy=cfg.policy if cfg.policy != "all" else "first",
         horizon=cfg.T, max_branches=cfg.max_branches,
     )

@@ -30,13 +30,13 @@ class Mesh1D:
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError("mesh needs n >= 2 free nodes")
+            raise ValueError("mesh needs n >= 2 free nodes, got %r" % (self.n,))
         if abs(float(self.n * self.dx) - 1.0) > 1e-12:
             raise ValueError("n*dx must equal 1, got %r" % (self.n * self.dx,))
 
     @classmethod
     def uniform(cls, n):
-        return cls(n, 1.0 / n)
+        return cls(n, 1.0 / n if n else 0.0)  # n = 0 fails the n >= 2 check
 
     @property
     def nodes(self):

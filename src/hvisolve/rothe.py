@@ -23,6 +23,7 @@ both; ``run`` merges coinciding states once per level.
 
 import functools
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,6 @@ from .nonsmooth import VerticalSegment
 
 log = logging.getLogger(__name__)
 
-ACCEPT_TOL = 1e-12  # interval membership when accepting a segment's candidate
 PARALLEL_RTOL = 1e-12  # |g + slope| <= PARALLEL_RTOL*g: segment parallel to the Schur line
 DEDUPE_TOL = 1e-10  # max-norm distance below which two states of a level are merged
 
@@ -51,36 +51,42 @@ class NoSolutionError(RuntimeError):
     """Raised when a step admits no solution on any graph segment."""
 
 
+def _require_positive_finite(name, value):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError("%s must be positive and finite, got %r" % (name, value))
+
+
 @dataclass
 class RotheConfig:
-    """Time grid and branch bookkeeping parameters.
-
-    num_steps * tau must equal horizon.
-    """
+    """Time grid of num_steps steps of size tau, and the branch cap; the one
+    place that decides whether a time grid is valid."""
 
     tau: float
     num_steps: int
-    horizon: float = 1.0
     max_branches: int = 64
 
     def __post_init__(self):
-        if self.tau <= 0 or self.num_steps < 1:
-            raise ValueError("tau must be positive and num_steps >= 1")
+        _require_positive_finite("tau", self.tau)
+        if self.num_steps < 1:
+            raise ValueError("num_steps must be at least 1, got %r" % (self.num_steps,))
         if self.max_branches < 1:
             raise ValueError("max_branches must be at least 1, got %r" % (self.max_branches,))
-        if abs(self.num_steps * self.tau - self.horizon) > 1e-12:
-            raise ValueError(
-                "num_steps*tau = %r must equal horizon %r"
-                % (self.num_steps * self.tau, self.horizon)
-            )
+
+    @property
+    def horizon(self):
+        return self.num_steps * self.tau
 
     @classmethod
     def from_step(cls, tau, horizon=1.0, **kw):
         """Derive the step count, requiring tau to divide the horizon."""
-        steps = round(horizon / tau)
+        _require_positive_finite("tau", tau)
+        _require_positive_finite("horizon", horizon)
+        ratio = horizon / tau  # inf for a subnormal tau
+        steps = round(ratio) if math.isfinite(ratio) else 0
         if steps < 1 or abs(steps * tau - horizon) > 1e-12:
-            raise ValueError("tau=%r does not divide horizon=%r" % (tau, horizon))
-        return cls(tau=tau, num_steps=steps, horizon=horizon, **kw)
+            raise ValueError("tau=%r does not divide horizon=%r: horizon/tau must be a "
+                             "whole number, got %r" % (tau, horizon, ratio))
+        return cls(tau=tau, num_steps=steps, **kw)
 
 
 @dataclass
@@ -147,6 +153,17 @@ class SolutionTree:
 
     def boundary_values(self, leaf_index=0):
         return np.array([s[-1] for s in self.path_states(leaf_index)])
+
+    def require_solved(self):
+        """This tree; NoSolutionError if it died early, FloatingPointError on a non-finite state."""
+        if not self.completed():
+            raise NoSolutionError(
+                "no solution on any segment at step %r of tau=%r (%d step failures recorded)"
+                % (self.no_solution_level, self.config.tau, len(self.step_failures))
+            )
+        if not all(np.isfinite(b.state).all() for level in self.levels for b in level):
+            raise FloatingPointError("non-finite state in the solution tree")
+        return self
 
 
 def clement_average(f, tau, k):
@@ -245,7 +262,7 @@ def rothe_step_all(mesh, graph, prev, tau, f_k=None, failures=None):
             tag = "v%d" % idx
             r = seg.r
             flux = e0 - g * r
-            if not seg.xi_lo - ACCEPT_TOL <= flux <= seg.xi_hi + ACCEPT_TOL:
+            if not seg.contains_flux(flux):
                 continue
         else:
             tag = "a%d" % idx
@@ -257,7 +274,7 @@ def rothe_step_all(mesh, graph, prev, tau, f_k=None, failures=None):
                     failures.append((tag, msg))
                 continue
             r = (e0 - seg.intercept) / s
-            if not seg.contains(r, ACCEPT_TOL):
+            if not seg.contains(r):
                 continue
             flux = seg.value(r)
         found.append(StepSolution(np.append(y - r * op.w, r), tag, flux))

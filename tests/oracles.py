@@ -125,6 +125,46 @@ def schur_scan_solutions(mesh, graph, prev, tau, f_k=None, grid=1e-5, tol=1e-9):
     return out
 
 
+def check_tree(tree, graph, rtol=1e-12, tol=1e-12):
+    """Dense certificate of an unforced solution tree: every branch solves the
+    step inclusion it claims, against its parent.
+
+    Each row of the residual (M/tau + K) a + e_n*xi - M a_parent/tau, with
+    matrices from dense_step_matrix, must be within ``rtol`` of that row's
+    scale, the sum of the magnitudes of its terms.  The boundary pair
+    (a_n, xi) must lie, within ``tol``, on the graph segment that the
+    branch's case tag names: affine tags ``a<i>`` by the segment's closed
+    interval and line, vertical tags ``v<i>`` by its point and flux interval.
+    """
+    tau = tree.config.tau
+    m, a = dense_step_matrix(tree.mesh, tau)
+    checked = 0
+    for level in range(1, tree.num_levels):
+        for b in tree.levels[level]:
+            prev = tree.levels[level - 1][b.parent].state
+            xi = b.boundary_flux
+            terms = a @ b.state - m @ prev / tau
+            terms[-1] += xi
+            scale = np.abs(a) @ np.abs(b.state) + np.abs(m) @ np.abs(prev) / tau
+            scale[-1] += abs(xi)
+            worst = np.max(np.abs(terms) / scale)
+            assert worst <= rtol, (level, b.branch_id, worst)
+
+            r = b.state[-1]
+            seg = graph.segments[int(b.case_tag[1:])]
+            if b.case_tag[0] == "v":
+                assert isinstance(seg, VerticalSegment), b.case_tag
+                assert abs(r - seg.r) <= tol, (b.branch_id, r, seg)
+                assert seg.xi_lo - tol <= xi <= seg.xi_hi + tol, (b.branch_id, xi, seg)
+            else:
+                assert isinstance(seg, AffineSegment), b.case_tag
+                assert seg.r_lo - tol <= r <= seg.r_hi + tol, (b.branch_id, r, seg)
+                line = seg.slope * r + seg.intercept
+                assert abs(xi - line) <= tol * max(1.0, abs(xi)), (b.branch_id, xi, line)
+            checked += 1
+    return checked
+
+
 def greedy_merge_indices(states, tol):
     """Indices of the rows kept when merging ``states`` in order: a row is
     dropped when its max-norm distance to an earlier kept row is below

@@ -33,6 +33,7 @@ from hvisolve import (
 )
 from oracles import (
     brute_force_bv2,
+    check_tree,
     fd_directional_sup,
     interpolant_gap,
     random_potential,
@@ -135,10 +136,11 @@ def test_criterion_02_subdifferential_oracle():
 
 def test_criterion_03_uniqueness_for_j2():
     with criterion(3, "uniqueness for j2 preset", 10.0):
-        tree = run(preset_config(), preset_mesh(), clarke_subdifferential(potential_j2()),
-                   lambda x: 2.0, branch_policy="all")
+        graph = clarke_subdifferential(potential_j2())
+        tree = run(preset_config(), preset_mesh(), graph, lambda x: 2.0, branch_policy="all")
         assert tree.completed()
         assert tree.branch_counts() == [1] * 101
+        check_tree(tree, graph)
 
 
 def test_criterion_04_multiplicity_for_j1():
@@ -148,6 +150,7 @@ def test_criterion_04_multiplicity_for_j1():
         tree = run(preset_config(), mesh, graph, lambda x: 2.0, branch_policy="all")
         assert tree.completed()
         assert max(tree.branch_counts()) >= 2
+        check_tree(tree, graph)
         lo = run(preset_config(), mesh, graph, lambda x: 2.0,
                  branch_policy="min_boundary").boundary_values()
         hi = run(preset_config(), mesh, graph, lambda x: 2.0,

@@ -221,14 +221,6 @@ def test_apriori_suite_rejects_bad_ordering():
         apriori_bound_suite(runs[:1])
 
 
-def test_convergence_zero_error_against_itself():
-    mesh = Mesh1D.uniform(10)
-    problem = StudyProblem(mesh=mesh, graph=zero_flux_graph(), u0=lambda x: 2.0, horizon=0.4)
-    table = convergence_study(problem, [0.04], 0.04, enforce_separation=False)
-    assert table.rows[0].err_CH == 0.0
-    assert table.rows[0].err_L2V == 0.0
-
-
 def test_convergence_requires_separated_reference():
     mesh = Mesh1D.uniform(10)
     problem = StudyProblem(mesh=mesh, graph=zero_flux_graph(), u0=lambda x: 2.0, horizon=0.4)

@@ -7,6 +7,7 @@ show up when the benchmark runs traced.
 
 from pathlib import Path
 
+from hvisolve import rothe
 from hvisolve.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -17,6 +18,9 @@ def test_traced_selftest_workload_records_steps(tmp_path, monkeypatch):
     import tracing
     import workloads
 
+    # the step operator is cached per (n, dx, tau); a cached one would skip
+    # the assembly and solve spans it records when built
+    rothe._schur_operator.cache_clear()
     monkeypatch.setenv("HVI_OUT", str(tmp_path))
     tracer = tracing.Tracer().install()
     try:
@@ -25,3 +29,6 @@ def test_traced_selftest_workload_records_steps(tmp_path, monkeypatch):
         tracer.uninstall()
     assert rc == 0
     assert tracer.metrics()["rothe.step_calls"] > 0
+    recorded = {span[0] for span in tracer.spans}
+    missing = {name for _, _, name in tracing.BOUNDARIES} - recorded
+    assert not missing, sorted(missing)

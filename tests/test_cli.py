@@ -152,6 +152,22 @@ def test_converge_rejects_bad_taus(tmp_path, capsys):
             err = capsys.readouterr().err
             assert code == 1, (taus, reference)
             assert "config error:" in err and "got " + want in err, (taus, reference, err)
+    code = _run_cli("converge", "--potential", "j2", "--nx", "10", "--T", "0.2",
+                    "--taus=", "--reference-tau=0.005", "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "config error:" in err and "got []" in err, err
+
+
+def test_converge_reports_numerical_failure(tmp_path, capsys):
+    # at n=4, dx=1/4, tau=0.025 the only segment (slope 2*c2) is parallel to
+    # the Schur line, so the reference run dies at its first step
+    code = _run_cli("converge", "--potential", "custom", "--pieces=-3.4761124575460805:0:0",
+                    "--nx", "4", "--T", "0.2", "--taus", "0.1", "--reference-tau", "0.025",
+                    "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "numerical failure:" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "convergence.csv").exists()
 
 
 def test_check_command(tmp_path, capsys):
@@ -243,6 +259,7 @@ def test_u0_rejects_bad_input(tmp_path, capsys, u0):
 
 
 @pytest.mark.parametrize("flags, config_text", [
+    (["--nx", "0"], ""),
     (["--dt", "0"], ""),
     (["--dt", "nan"], ""),
     (["--dt", "1e-320"], ""),  # finite, but T/dt overflows
@@ -250,7 +267,7 @@ def test_u0_rejects_bad_input(tmp_path, capsys, u0):
     ([], "nx = abc\n"),
     (["--max-branches", "0"], ""),  # solutions exist; truncation would empty the level
     (["--max-branches", "-3"], ""),
-], ids=["dt-zero", "dt-nan", "dt-subnormal", "T-inf", "config-nx-abc", "max-branches-0",
+], ids=["nx-zero", "dt-zero", "dt-nan", "dt-subnormal", "T-inf", "config-nx-abc", "max-branches-0",
         "max-branches-neg"])
 def test_run_rejects_bad_numbers(tmp_path, capsys, flags, config_text):
     cfg = tmp_path / "cfg.txt"

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from hvisolve import (
 )
 from hvisolve import rothe
 from oracles import (
+    check_tree,
     greedy_merge_indices,
     interpolant_gap,
     random_potential,
@@ -28,13 +32,23 @@ from oracles import (
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        RotheConfig(tau=0.3, num_steps=3, horizon=1.0)
-    with pytest.raises(ValueError):
         RotheConfig.from_step(0.3, 1.0)
     cfg = RotheConfig.from_step(0.01, 1.0)
-    assert cfg.num_steps == 100
+    assert cfg.num_steps == 100 and cfg.horizon == 1.0
     with pytest.raises(ValueError):
         RotheConfig.from_step(0.5, 1.0, max_branches=0)
+    # non-finite steps and horizons, and a subnormal step whose horizon/tau overflows
+    for build, got in (
+        (lambda: RotheConfig(tau=math.nan, num_steps=2), "nan"),
+        (lambda: RotheConfig(tau=math.inf, num_steps=2), "inf"),
+        (lambda: RotheConfig.from_step(math.nan, 1.0), "nan"),
+        (lambda: RotheConfig.from_step(math.inf, 1.0), "inf"),
+        (lambda: RotheConfig.from_step(0.1, math.nan), "nan"),
+        (lambda: RotheConfig.from_step(0.1, math.inf), "inf"),
+        (lambda: RotheConfig.from_step(5e-324, 1.0), "inf"),
+    ):
+        with pytest.raises(ValueError, match="got %s$" % re.escape(got)):
+            build()
 
 
 def test_clement_average_zero_and_constant():
@@ -123,7 +137,7 @@ def test_run_records_dead_tree():
     mesh = Mesh1D(2, 0.5)
     pot = PiecewiseQuadraticPotential([], [(-1.9375, 0.0, 0.0)])
     graph = clarke_subdifferential(pot)
-    cfg = RotheConfig(tau=1 / 12, num_steps=2, horizon=1 / 6)
+    cfg = RotheConfig(tau=1 / 12, num_steps=2)
     tree = run(cfg, mesh, graph, lambda x: 2.0)
     assert not tree.completed()
     assert tree.no_solution_level == 1
@@ -141,7 +155,7 @@ def test_corner_solution_reported_twice_and_merged_once():
     sols = rothe_step_all(mesh, graph, np.array([c, c]), tau=1 / 12)
     assert [s.case_tag for s in sols] == ["a1", "v2", "a3"]
     assert np.max(np.abs(sols[0].state - sols[1].state)) < rothe.DEDUPE_TOL
-    cfg = RotheConfig(tau=1 / 12, num_steps=1, horizon=1 / 12)
+    cfg = RotheConfig(tau=1 / 12, num_steps=1)
     want = {
         "all": [("0.1", "a1"), ("0.3", "a3")],
         "first": [("0.1", "a1")],
@@ -253,11 +267,14 @@ def test_run_j1_branches_and_extreme_policies_differ():
     mesh = Mesh1D.uniform(100)
     cfg = RotheConfig.from_step(0.01, 0.5, max_branches=64)
     graph = clarke_subdifferential(potential_j1())
-    tree = run(cfg, mesh, graph, lambda x: 2.0, branch_policy="all")
-    assert tree.completed()
-    assert max(tree.branch_counts()) >= 2
-    lo = run(cfg, mesh, graph, lambda x: 2.0, branch_policy="min_boundary").boundary_values()
-    hi = run(cfg, mesh, graph, lambda x: 2.0, branch_policy="max_boundary").boundary_values()
+    trees = {p: run(cfg, mesh, graph, lambda x: 2.0, branch_policy=p)
+             for p in ("all", "min_boundary", "max_boundary")}
+    for tree in trees.values():
+        assert tree.completed()
+        check_tree(tree, graph)
+    assert max(trees["all"].branch_counts()) >= 2
+    lo = trees["min_boundary"].boundary_values()
+    hi = trees["max_boundary"].boundary_values()
     assert np.max(hi - lo) > 1e-6
     assert np.min(hi - lo) >= -1e-12
 
@@ -281,19 +298,8 @@ def test_tree_invariants_on_branching_run():
     tree = run(cfg, mesh, graph, lambda x: 2.0, branch_policy="all")
     assert tree.completed()
     assert len(tree.levels[0]) == 1
-    system = assemble_mass(mesh).scaled(1.0 / cfg.tau) + assemble_stiffness(mesh)
-    m = assemble_mass(mesh)
-    e_n = np.zeros(mesh.n)
-    e_n[-1] = 1.0
-    for level in range(1, tree.num_levels):
-        branches = tree.levels[level]
-        for b in branches:
-            prev = tree.levels[level - 1][b.parent].state
-            rhs = m.matvec(prev) / cfg.tau
-            residual = system.matvec(b.state) + b.boundary_flux * e_n - rhs
-            assert np.max(np.abs(residual)) <= 1e-9
-            lo, hi = graph.select(b.state[-1])
-            assert lo - 1e-10 <= b.boundary_flux <= hi + 1e-10
+    assert check_tree(tree, graph) == sum(tree.branch_counts()[1:])
+    for branches in tree.levels[1:]:
         for i, a in enumerate(branches):
             for b in branches[i + 1:]:
                 assert np.max(np.abs(a.state - b.state)) >= rothe.DEDUPE_TOL
