@@ -8,7 +8,6 @@ The environment variable HVI_OUT overrides the output directory.
 
 import argparse
 import ast
-import csv
 import math
 import operator
 import os
@@ -85,15 +84,23 @@ class ExperimentConfig:
             raise ConfigError("no potential given (use --potential or --preset)")
         if self.policy not in BRANCH_POLICIES:
             raise ConfigError("policy must be one of %s" % (", ".join(BRANCH_POLICIES)))
-        self.discretization()
+        self.mesh()
 
-    def discretization(self):
-        """The mesh and the time grid; their own checks decide, as ConfigError."""
-        try:
-            return (Mesh1D.uniform(self.nx),
-                    RotheConfig.from_step(self.dt, self.T, max_branches=self.max_branches))
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+    def mesh(self):
+        return _config_checked(Mesh1D.uniform, self.nx)
+
+    def time_grid(self):
+        """Steps of dt up to T, for the subcommands that step with dt."""
+        return _config_checked(RotheConfig.from_step, self.dt, self.T,
+                               max_branches=self.max_branches)
+
+
+def _config_checked(build, *args, **kw):
+    """build(*args, **kw), its own checks deciding; a ValueError is a ConfigError."""
+    try:
+        return build(*args, **kw)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 def read_kv_file(path):
@@ -241,11 +248,15 @@ def output_dir(cfg):
 # CSV emission
 
 def write_csv(path, header, rows):
-    """Header plus rows; floats (np.float64 too) are written as their repr."""
+    """Header plus rows, streamed one line at a time from any iterable.
+
+    Each field is written as its str, so a float (np.float64 too) appears as
+    its repr.  Nothing is quoted: fields must not hold commas, quotes or line
+    breaks.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def trajectory_header(n):
@@ -256,16 +267,20 @@ def write_trajectory(path, tree):
     write_csv(path, trajectory_header(tree.mesh.n), trajectory_rows(tree))
 
 
-def write_surface(path, tree):
-    tau = tree.config.tau
+def surface_rows(tree):
+    """x, t, u rows of the first root-to-leaf path, the Dirichlet end first at
+    each level.  Each node's x and each level's t are formatted once."""
     dx = float(tree.mesh.dx)
-    rows = []
+    xs = [str(i * dx) for i in range(1, tree.mesh.n + 1)]
     for k, state in enumerate(tree.path_states(0)):
-        t = k * tau
-        rows.append([0.0, t, 0.0])  # Dirichlet end
-        for i, u in enumerate(state, start=1):
-            rows.append([i * dx, t, float(u)])
-    write_csv(path, ["x", "t", "u"], rows)
+        t = str(k * tree.config.tau)
+        yield "0.0", t, "0.0"
+        for x, u in zip(xs, state.tolist()):
+            yield x, t, u
+
+
+def write_surface(path, tree):
+    write_csv(path, ["x", "t", "u"], surface_rows(tree))
 
 
 def write_matrices(outdir, mesh):
@@ -299,17 +314,17 @@ def write_plot_script(path):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _solve(cfg, policy):
+def _solve(cfg, grid, policy):
     _, graph = parse_potential(cfg)
     u0 = parse_u0(cfg.u0)
-    mesh, grid = cfg.discretization()
-    return run(grid, mesh, graph, u0, f=None, branch_policy=policy).require_solved()
+    return run(grid, cfg.mesh(), graph, u0, f=None, branch_policy=policy).require_solved()
 
 
 def cmd_run(args):
     cfg = merge_config(args)
+    grid = cfg.time_grid()
     outdir = output_dir(cfg)
-    tree = _solve(cfg, cfg.policy)
+    tree = _solve(cfg, grid, cfg.policy)
     report = interpolant_norms(tree.mesh, tree.path_states(0), cfg.dt)
     if not np.isfinite(report.csv_row()).all():
         raise FloatingPointError("non-finite norm in %r" % (report,))
@@ -331,9 +346,10 @@ def cmd_run(args):
 
 def cmd_branches(args):
     cfg = merge_config(args)
+    grid = cfg.time_grid()
     outdir = output_dir(cfg)
-    tree_min = _solve(cfg, "min_boundary")
-    tree_max = _solve(cfg, "max_boundary")
+    tree_min = _solve(cfg, grid, "min_boundary")
+    tree_max = _solve(cfg, grid, "max_boundary")
     write_trajectory(outdir / "trajectory_min.csv", tree_min)
     write_trajectory(outdir / "trajectory_max.csv", tree_max)
     lo = tree_min.boundary_values()
@@ -359,7 +375,7 @@ def cmd_converge(args):
         raise ConfigError("bad tau list: %s" % err) from err
     _, graph = parse_potential(cfg)
     problem = StudyProblem(
-        mesh=cfg.discretization()[0], graph=graph, u0=parse_u0(cfg.u0),
+        mesh=cfg.mesh(), graph=graph, u0=parse_u0(cfg.u0),
         policy=cfg.policy if cfg.policy != "all" else "first",
         horizon=cfg.T, max_branches=cfg.max_branches,
     )

@@ -82,7 +82,10 @@ class RotheConfig:
         _require_positive_finite("tau", tau)
         _require_positive_finite("horizon", horizon)
         ratio = horizon / tau  # inf for a subnormal tau
-        steps = round(ratio) if math.isfinite(ratio) else 0
+        if not ratio < 2**53:  # every float this large is whole: nothing left to check
+            raise ValueError("tau=%r is too small for horizon=%r: horizon/tau must be "
+                             "below 2**53, got %r" % (tau, horizon, ratio))
+        steps = round(ratio)
         if steps < 1 or abs(steps * tau - horizon) > 1e-12:
             raise ValueError("tau=%r does not divide horizon=%r: horizon/tau must be a "
                              "whole number, got %r" % (tau, horizon, ratio))
@@ -376,12 +379,12 @@ TRAJECTORY_HEADER = ["t", "branch_id", "parent_id", "case_tag"]
 
 
 def trajectory_rows(tree):
-    """Rows of the branch-trajectory table: one per branch per level.
+    """Rows of the branch-trajectory table, one per branch per level, yielded
+    lazily so that the whole table is never held at once.
 
     Columns: t, branch_id, parent_id, case_tag, alpha_1..alpha_n, xi.  The
     root row has empty parent and flux fields.
     """
-    rows = []
     for level, branches in enumerate(tree.levels):
         t = level * tree.config.tau
         for b in branches:
@@ -389,5 +392,4 @@ def trajectory_rows(tree):
             if b.parent is not None:
                 parent_id = tree.levels[level - 1][b.parent].branch_id
             flux = "" if b.boundary_flux is None else b.boundary_flux
-            rows.append([t, b.branch_id, parent_id, b.case_tag, *b.state.tolist(), flux])
-    return rows
+            yield [t, b.branch_id, parent_id, b.case_tag, *b.state.tolist(), flux]

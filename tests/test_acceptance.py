@@ -199,6 +199,7 @@ def test_criterion_06_interpolant_identity():
             cfg = preset_config()
             tree = run(cfg, mesh, graph, lambda x: 2.0, branch_policy=policy)
             assert tree.completed()
+            check_tree(tree, graph)
             states = tree.chain_states()
             lhs = interpolant_gap(mesh, states, cfg.tau) ** 2
             du = interpolant_norms(mesh, states, cfg.tau).l2Vstar_of_derivative
@@ -217,6 +218,8 @@ def test_criterion_07_apriori_bounds():
                 for tau in (0.04, 0.02, 0.01, 0.005)
             ]
             assert all(t.completed() for t in runs)
+            for tree in runs:
+                check_tree(tree, graph)
             verdict = apriori_bound_suite(runs)
             assert verdict.ok, verdict.violations
 
@@ -266,6 +269,7 @@ def test_criterion_09_bv2_correctness():
         for graph, policy in runs:
             cfg = preset_config()
             tree = run(cfg, mesh, graph, lambda x: 2.0, branch_policy=policy)
+            check_tree(tree, graph)
             report = interpolant_norms(mesh, tree.chain_states(), cfg.tau)
             envelope = cfg.horizon * report.l2Vstar_of_derivative**2
             assert report.bv2_Vstar <= envelope * (1 + 1e-9)

@@ -4,7 +4,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hvisolve.cli import ConfigError, main, merge_config, build_parser, write_csv
+from hvisolve import (
+    Mesh1D,
+    RotheConfig,
+    clarke_subdifferential,
+    potential_j1,
+    run,
+    trajectory_rows,
+)
+from hvisolve.cli import (
+    ConfigError,
+    build_parser,
+    main,
+    merge_config,
+    write_csv,
+    write_surface,
+    write_trajectory,
+)
 
 
 def _read_csv(path):
@@ -48,6 +64,23 @@ def test_run_rejects_bad_step(tmp_path, capsys):
     assert _run_cli("run", "--potential", "j2", "--dt", "0.3", "--T", "1.0",
                     "--out", str(tmp_path / "x")) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_converge_does_not_check_dt(tmp_path, capsys):
+    # the default dt = 0.01 does not divide T = 0.125, but converge never steps with dt
+    out = tmp_path / "o"
+    assert _run_cli("converge", "--potential", "j2", "--nx", "10", "--T", "0.125",
+                    "--taus", "0.025", "--reference-tau", "0.00625", "--out", str(out)) == 0
+    assert (out / "convergence.csv").exists()
+    capsys.readouterr()
+    for command in ("run", "branches"):
+        out = tmp_path / command
+        assert _run_cli(command, "--potential", "j2", "--nx", "10", "--T", "0.125",
+                        "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "config error: tau=0.01 does not divide horizon=0.125: horizon/tau must be a "
+            "whole number, got 12.5\n")
+        assert not out.exists()
 
 
 def test_run_requires_potential(tmp_path):
@@ -264,11 +297,12 @@ def test_u0_rejects_bad_input(tmp_path, capsys, u0):
     (["--dt", "nan"], ""),
     (["--dt", "1e-320"], ""),  # finite, but T/dt overflows
     (["--T", "inf"], ""),
+    (["--dt", "1e-300", "--T", "0.5"], ""),  # T/dt is finite but far past 2**53 steps
     ([], "nx = abc\n"),
     (["--max-branches", "0"], ""),  # solutions exist; truncation would empty the level
     (["--max-branches", "-3"], ""),
-], ids=["nx-zero", "dt-zero", "dt-nan", "dt-subnormal", "T-inf", "config-nx-abc", "max-branches-0",
-        "max-branches-neg"])
+], ids=["nx-zero", "dt-zero", "dt-nan", "dt-subnormal", "T-inf", "dt-tiny", "config-nx-abc",
+        "max-branches-0", "max-branches-neg"])
 def test_run_rejects_bad_numbers(tmp_path, capsys, flags, config_text):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("potential = j2\n" + config_text)
@@ -283,6 +317,64 @@ def test_write_csv_float_format(tmp_path):
     write_csv(tmp_path / "f.csv", ["v"] * len(values), [values])
     _, rows = _read_csv(tmp_path / "f.csv")
     assert rows == [[repr(float(v)) for v in values]]
+
+
+def _csv_writer_bytes(path, header, rows):
+    """The oracle: the same header and rows through the standard csv module."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    header = ["a", "b", "c", "d", "e"]
+    rows = [
+        [-0.0, 1e16, 1e-05, 5e-324, np.float64(0.1)],
+        [np.float64(-0.0), np.float64(1e16), np.float64(1e-05), np.float64(5e-324), 2.5e-300],
+        [0, -7, "", "0.1.3", "a1"],
+        ["", "", "", "", ""],
+    ]
+    write_csv(tmp_path / "new.csv", header, iter(rows))
+    assert ((tmp_path / "new.csv").read_bytes()
+            == _csv_writer_bytes(tmp_path / "old.csv", header, rows))
+
+
+def _selftest_tree():
+    """The small branching j1 run of the benchmark self-test."""
+    return run(RotheConfig.from_step(0.05, 0.3, max_branches=128), Mesh1D.uniform(10),
+               clarke_subdifferential(potential_j1()), lambda x: 1.5, branch_policy="all")
+
+
+def test_trajectory_and_surface_match_csv_writer(tmp_path):
+    tree = _selftest_tree()
+    assert max(tree.branch_counts()) > 1
+    rows = trajectory_rows(tree)
+    assert iter(rows) is rows and not isinstance(rows, list)  # lazy
+    assert next(rows)[:4] == [0.0, "0", "", tree.levels[0][0].case_tag]
+
+    want = []
+    for level, branches in enumerate(tree.levels):
+        for b in branches:
+            parent = "" if b.parent is None else tree.levels[level - 1][b.parent].branch_id
+            flux = "" if b.boundary_flux is None else b.boundary_flux
+            want.append([level * tree.config.tau, b.branch_id, parent, b.case_tag,
+                         *b.state, flux])
+    header = (["t", "branch_id", "parent_id", "case_tag"]
+              + ["alpha_%d" % i for i in range(1, 11)] + ["xi"])
+    write_trajectory(tmp_path / "trajectory.csv", tree)
+    assert ((tmp_path / "trajectory.csv").read_bytes()
+            == _csv_writer_bytes(tmp_path / "want_trajectory.csv", header, want))
+
+    want = []
+    for k, state in enumerate(tree.path_states(0)):
+        t = k * tree.config.tau
+        want.append([0.0, t, 0.0])
+        want.extend([i * tree.mesh.dx, t, u] for i, u in enumerate(state, start=1))
+    write_surface(tmp_path / "surface.csv", tree)
+    assert ((tmp_path / "surface.csv").read_bytes()
+            == _csv_writer_bytes(tmp_path / "want_surface.csv", ["x", "t", "u"], want))
 
 
 def test_dump_matrices(tmp_path):

@@ -37,7 +37,7 @@ def test_config_validation():
     assert cfg.num_steps == 100 and cfg.horizon == 1.0
     with pytest.raises(ValueError):
         RotheConfig.from_step(0.5, 1.0, max_branches=0)
-    # non-finite steps and horizons, and a subnormal step whose horizon/tau overflows
+    # non-finite steps and horizons, and steps too small for the horizon
     for build, got in (
         (lambda: RotheConfig(tau=math.nan, num_steps=2), "nan"),
         (lambda: RotheConfig(tau=math.inf, num_steps=2), "inf"),
@@ -46,6 +46,8 @@ def test_config_validation():
         (lambda: RotheConfig.from_step(0.1, math.nan), "nan"),
         (lambda: RotheConfig.from_step(0.1, math.inf), "inf"),
         (lambda: RotheConfig.from_step(5e-324, 1.0), "inf"),
+        # horizon/tau past 2**53 is a whole number whatever tau is
+        (lambda: RotheConfig.from_step(1e-300, 0.5), "4.9999999999999995e+299"),
     ):
         with pytest.raises(ValueError, match="got %s$" % re.escape(got)):
             build()
