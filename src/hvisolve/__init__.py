@@ -47,7 +47,6 @@ from .rothe import (
     NoSolutionError,
     RotheConfig,
     SolutionTree,
-    StepSolution,
     clement_average,
     project_initial,
     rothe_step_all,

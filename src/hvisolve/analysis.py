@@ -78,7 +78,8 @@ def _quadratic_form(a, c):
 
 
 def _euclidean(y):
-    return math.sqrt(y @ y)
+    """Euclidean norm of a vector, or of each row of a stack."""
+    return np.sqrt(np.einsum("...i,...i->...", y, y))
 
 
 def interpolant_norms(mesh, states, tau):
@@ -91,7 +92,7 @@ def interpolant_norms(mesh, states, tau):
     y = kit.whiten(kit.M.matvec(states).T)
     dy = np.diff(y, axis=0) / tau
     l2Vstar_du = math.sqrt(tau * np.einsum("ij,ij->", dy, dy))
-    bv2 = bv2_seminorm(list(y), _euclidean)
+    bv2 = bv2_seminorm(y, _euclidean)
     return NormReport(l2V, float(h_norms[1:].max()), float(h_norms.max()), l2Vstar_du, bv2)
 
 
@@ -99,18 +100,23 @@ def bv2_seminorm(values, norm):
     """Supremum over increasing index subsequences of the sum of squared
     increments, norm(values[m_j] - values[m_{j-1}])**2.
 
-    Exact dynamic programming over pairs: for a piecewise-constant-in-time
-    function the supremum over partitions is attained at jump points, and
-    dropping an index can only help through the squared increments, so the
-    optimum is a path from the first to the last index.
+    ``values`` is a sequence of numbers or a stack of rows, and ``norm`` a
+    row norm: it maps the stack of differences ``values[:i] - values[i]``
+    to their norms.  Exact dynamic programming, one array expression per
+    index: for a piecewise-constant-in-time function the supremum over
+    partitions is attained at jump points, and dropping an index can only
+    help through the squared increments, so the optimum is a path from the
+    first to the last index.  Differences are taken before the norm, so no
+    Gram-matrix cancellation enters.
     """
+    values = np.asarray(values, dtype=float)
     n = len(values)
     if n < 2:
         return 0.0
-    best = [0.0] * n
+    best = np.zeros(n)
     for i in range(1, n):
-        best[i] = max(best[j] + norm(values[i] - values[j]) ** 2 for j in range(i))
-    return best[-1]
+        best[i] = (best[:i] + norm(values[:i] - values[i]) ** 2).max()
+    return float(best[-1])
 
 
 # ---------------------------------------------------------------------------

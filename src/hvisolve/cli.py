@@ -269,14 +269,13 @@ def write_trajectory(path, tree):
 
 def surface_rows(tree):
     """x, t, u rows of the first root-to-leaf path, the Dirichlet end first at
-    each level.  Each node's x and each level's t are formatted once."""
+    each level, as ("x,t", u) pairs: each node's x is formatted once, and
+    each level's "x,t" prefixes once."""
     dx = float(tree.mesh.dx)
-    xs = [str(i * dx) for i in range(1, tree.mesh.n + 1)]
+    xs = ["0.0"] + [str(i * dx) for i in range(1, tree.mesh.n + 1)]
     for k, state in enumerate(tree.path_states(0)):
-        t = str(k * tree.config.tau)
-        yield "0.0", t, "0.0"
-        for x, u in zip(xs, state.tolist()):
-            yield x, t, u
+        t = "," + str(k * tree.config.tau)
+        yield from zip([x + t for x in xs], [0.0, *state.tolist()])
 
 
 def write_surface(path, tree):

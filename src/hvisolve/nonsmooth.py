@@ -105,9 +105,6 @@ class VerticalSegment:
     xi_lo: float
     xi_hi: float
 
-    def contains_flux(self, xi, tol=MEMBERSHIP_TOL):
-        return self.xi_lo - tol <= xi <= self.xi_hi + tol
-
 
 class SubdifferentialGraph:
     """Closed graph of a generalized gradient, ordered left to right.

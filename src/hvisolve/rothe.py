@@ -9,16 +9,24 @@ Eliminating the interior unknowns (the Schur complement of A = M/tau + K at
 the boundary node) leaves one scalar relation: a boundary value r requires
 the flux xi = e0 - g*r, and the interior is then y - r*w.  The slope g, the
 interior response w and the Thomas factor of the interior matrix depend only
-on (mesh, tau) and are built once; each parent state costs one substitution
-on that factor for y and e0.  Every graph segment is
-then intersected with the line xi = e0 - g*r by one scalar test: an affine
-segment gives r = (e0 - intercept)/(g + slope), checked against its interval;
-a vertical segment at r0 checks e0 - g*r0 against its flux interval.  A
-segment parallel to the line has no solution or a continuum of them; both are
-reported, never skipped silently.  Otherwise each segment holds at most one
-solution, so trying every segment recovers the complete solution set.  A
-solution at a corner of the graph, where two segments meet, is reported by
-both; ``run`` merges coinciding states once per level.
+on (mesh, tau) and are built once.
+
+A step takes a whole level of the branch tree at once, its m parents as an
+(m, n) stack.  One mass matvec gives the m right-hand sides and one
+substitution on the factor gives every y and e0: a lone parent goes through
+it as Python floats, a stack of them as one sweep over the rows of the
+(n-1, m) block.  Both do the same arithmetic per column, so a child's bits
+never depend on which other parents share its level.
+
+Every graph segment is then intersected with the m lines xi = e0 - g*r by
+one array test: an affine segment gives r = (e0 - intercept)/(g + slope),
+checked against its interval; a vertical segment at r0 checks e0 - g*r0
+against its flux interval.  A segment parallel to the lines has no solution
+or a continuum of them; both are reported, never skipped silently.
+Otherwise each segment holds at most one solution per parent, so trying
+every segment recovers the complete solution set.  A solution at a corner
+of the graph, where two segments meet, is reported by both; ``run`` merges
+coinciding states once per level.
 """
 
 import functools
@@ -37,7 +45,7 @@ from .fem1d import (
     factor_tridiagonal,
     solve_tridiagonal,
 )
-from .nonsmooth import VerticalSegment
+from .nonsmooth import MEMBERSHIP_TOL, VerticalSegment
 
 log = logging.getLogger(__name__)
 
@@ -92,16 +100,27 @@ class RotheConfig:
         return cls(tau=tau, num_steps=steps, **kw)
 
 
-@dataclass
-class StepSolution:
-    state: np.ndarray
-    case_tag: str
-    boundary_flux: float
+@dataclass(frozen=True)
+class StepLevel:
+    """The solutions of one backward-Euler step from a stack of parents.
+
+    Child i is ``states[i]``, stepped from parent row ``parent[i]`` and found
+    on ``graph.segments[segment[i]]`` with boundary flux ``flux[i]``.  The
+    children come parent by parent, each parent's segments left to right.
+    """
+
+    states: np.ndarray
+    parent: np.ndarray
+    segment: np.ndarray
+    flux: np.ndarray
+
+    def __len__(self):
+        return len(self.states)
 
 
 @dataclass
 class Branch:
-    state: np.ndarray
+    state: np.ndarray  # a read-only row of its level's array in SolutionTree.states
     parent: int | None
     case_tag: str
     boundary_flux: float | None
@@ -116,6 +135,7 @@ class SolutionTree:
     config: RotheConfig
     policy: str
     levels: list = field(default_factory=list)
+    states: list = field(default_factory=list)  # per level, the (m, n) array of its states
     truncated: bool = False
     no_solution_level: int | None = None
     terminated: list = field(default_factory=list)  # (level, branch_id) of dead ends
@@ -164,7 +184,7 @@ class SolutionTree:
                 "no solution on any segment at step %r of tau=%r (%d step failures recorded)"
                 % (self.no_solution_level, self.config.tau, len(self.step_failures))
             )
-        if not all(np.isfinite(b.state).all() for level in self.levels for b in level):
+        if not all(np.isfinite(states).all() for states in self.states):
             raise FloatingPointError("non-finite state in the solution tree")
         return self
 
@@ -211,6 +231,12 @@ class _SchurOperator:
     w: np.ndarray
     g: float
 
+    def solve_interior(self, block):
+        """interior^{-1} applied to each row of an (m, n-1) block."""
+        if len(block) == 1:  # a float sweep beats numpy calls on length-1 rows
+            return self.interior.solve(block[0])[None, :]
+        return self.interior.solve(block.T).T
+
 
 @functools.lru_cache(maxsize=16)
 def _schur_operator(n, dx, tau):
@@ -239,62 +265,87 @@ def _parallel_message(seg, e0):
         e0 - seg.intercept,)
 
 
-def rothe_step_all(mesh, graph, prev, tau, f_k=None, failures=None):
-    """All solutions of one backward-Euler step, as StepSolution records.
+def segment_tags(graph):
+    """Case tag of each graph segment: ``a<i>`` for affine, ``v<i>`` for vertical."""
+    return [("v%d" if isinstance(seg, VerticalSegment) else "a%d") % i
+            for i, seg in enumerate(graph.segments)]
 
-    Segments are tried left to right along the graph, and each segment the
-    Schur line meets gives one record.  At a corner of the graph both
-    adjoining segments report the same state (for j1 at r = 1, where ``a1``
-    ends and ``v2`` stands); ``run`` merges them.  An affine segment
-    parallel to the Schur line (no solution, or a continuum of them) is
-    reported into ``failures`` as (case tag, message) and yields no
-    solution; the other segments still run.  An empty result means the step
-    has no isolated solution at all.
+
+def rothe_step_all(mesh, graph, parents, tau, f_k=None, failures=None):
+    """All solutions of one backward-Euler step from each row of ``parents``.
+
+    ``parents`` is an (m, n) stack of states; a single state counts as a
+    stack of one.  The children come as a StepLevel, parent by parent and
+    each parent's segments left to right; a parent whose step has no
+    isolated solution has none.  At a corner of the graph both adjoining
+    segments report the same state (for j1 at r = 1, where ``a1`` ends and
+    ``v2`` stands); ``run`` merges them.  An affine segment parallel to the
+    Schur line (no solution, or a continuum of them) yields no child and is
+    reported into ``failures`` once per parent, as (parent row, case tag,
+    message); the other segments still run.
     """
     op = _schur_operator(mesh.n, float(mesh.dx), float(tau))
-    rhs = op.mass.matvec(np.asarray(prev, dtype=float)) / tau
+    parents = np.asarray(parents, dtype=float)
+    if parents.ndim == 1:
+        parents = parents[None, :]
+    rhs = op.mass.matvec(parents)
+    rhs /= tau
     if f_k is not None:
-        rhs = rhs + np.asarray(f_k, dtype=float)
-    y = op.interior.solve(rhs[:-1])
-    e0 = float(rhs[-1] - op.coupling * y[-1])
-    g = op.g
+        rhs += np.asarray(f_k, dtype=float)
+    y = op.solve_interior(rhs[:, :-1])
+    e0 = rhs[:, -1] - op.coupling * y[:, -1]
 
-    found = []
+    # One (m, S) test for every parent and segment, with the scalar scheme's
+    # operations.  Each segment tests (e0 - shift)/scale against its closed
+    # interval widened by MEMBERSHIP_TOL: on an affine segment that is
+    # r = (e0 - intercept)/(g + slope), with flux slope*r + intercept; on a
+    # vertical one at r0 it is the flux e0 - g*r0 (scale 1).  A segment
+    # parallel to the Schur line gets an empty interval.
+    g, tol = op.g, MEMBERSHIP_TOL
+    columns, parallel = [], []
     for idx, seg in enumerate(graph.segments):
         if isinstance(seg, VerticalSegment):
-            tag = "v%d" % idx
-            r = seg.r
-            flux = e0 - g * r
-            if not seg.contains_flux(flux):
-                continue
+            columns.append((1.0, seg.r, 0.0, 0.0, g * seg.r, 1.0, seg.xi_lo - tol, seg.xi_hi + tol))
+        elif abs(g + seg.slope) <= PARALLEL_RTOL * g:
+            parallel.append(idx)
+            columns.append((0.0, 0.0, 0.0, 0.0, 0.0, 1.0, np.inf, -np.inf))
         else:
-            tag = "a%d" % idx
-            s = g + seg.slope
-            if abs(s) <= PARALLEL_RTOL * g:
-                msg = _parallel_message(seg, e0)
-                log.debug("segment %s: %s", tag, msg)
+            columns.append((0.0, 0.0, seg.slope, seg.intercept, seg.intercept, g + seg.slope,
+                            seg.r_lo - tol, seg.r_hi + tol))
+    vertical, r0, slope, intercept, shift, scale, lo, hi = np.array(columns).T
+    vertical = vertical == 1.0
+    tested = (e0[:, None] - shift) / scale
+    hit = (lo <= tested) & (tested <= hi)
+    r = np.where(vertical, r0, tested)
+    flux = np.where(vertical, tested, slope * tested + intercept)
+    if parallel:
+        tags = segment_tags(graph)
+        for row, offset in enumerate(e0.tolist()):
+            for idx in parallel:
+                msg = _parallel_message(graph.segments[idx], offset)
+                log.debug("parent %d, segment %s: %s", row, tags[idx], msg)
                 if failures is not None:
-                    failures.append((tag, msg))
-                continue
-            r = (e0 - seg.intercept) / s
-            if not seg.contains(r):
-                continue
-            flux = seg.value(r)
-        found.append(StepSolution(np.append(y - r * op.w, r), tag, flux))
-    return found
+                    failures.append((row, tags[idx], msg))
+
+    rows, segs = np.nonzero(hit)  # row-major: parent by parent, segments in order
+    r = r[rows, segs]
+    states = np.empty((len(rows), mesh.n))
+    np.subtract(y[rows], r[:, None] * op.w, out=states[:, :-1])
+    states[:, -1] = r
+    return StepLevel(states, rows, segs, flux[rows, segs])
 
 
-def _merge_duplicates(candidates):
-    """Candidates in order, without those within DEDUPE_TOL (max norm) of a kept one.
+def _merge_duplicates(states):
+    """Indices of the rows of ``states`` kept, in order, when each row within
+    DEDUPE_TOL (max norm) of an earlier kept row is dropped.
 
     Two states within DEDUPE_TOL of each other have boundary values within it
-    too, so each candidate is compared only with the kept states whose
-    boundary value lies within 2*DEDUPE_TOL of its own (the factor 2 covers
-    rounding in the window ends), found in the boundary values sorted once.
+    too, so each row is compared only with the kept rows whose boundary value
+    lies within 2*DEDUPE_TOL of its own (the factor 2 covers rounding in the
+    window ends), found in the boundary values sorted once.
     """
-    if len(candidates) < 2:
-        return candidates
-    states = np.stack([c.state for c in candidates])
+    if len(states) < 2:
+        return np.arange(len(states))
     bounds = states[:, -1]
     order = np.argsort(bounds, kind="stable")
     ranked = bounds[order]
@@ -302,24 +353,25 @@ def _merge_duplicates(candidates):
     stops = np.searchsorted(ranked, bounds + 2 * DEDUPE_TOL, side="right").tolist()
     kept = np.zeros(len(states), dtype=bool)
     for i, (lo, hi) in enumerate(zip(starts, stops)):
-        if hi - lo > 1:  # the window always holds candidate i itself
+        if hi - lo > 1:  # the window always holds row i itself
             near = order[lo:hi]
             near = near[kept[near]]
             if (np.abs(states[near] - states[i]).max(axis=1) < DEDUPE_TOL).any():
                 continue
         kept[i] = True
-    return [c for c, k in zip(candidates, kept.tolist()) if k]
+    return np.flatnonzero(kept)
 
 
-def _select(candidates, policy):
+def _select(states, kept, policy):
+    """The entries of ``kept``, row indices into ``states``, that the branch policy picks."""
     if policy == "all":
-        return candidates
+        return kept
     if policy == "first":
-        return candidates[:1]
+        return kept[:1]
     if policy == "min_boundary":
-        return [min(candidates, key=lambda b: b.state[-1])]
+        return kept[[states[kept, -1].argmin()]]
     if policy == "max_boundary":
-        return [max(candidates, key=lambda b: b.state[-1])]
+        return kept[[states[kept, -1].argmax()]]
     raise ValueError("unknown branch policy %r" % (policy,))
 
 
@@ -327,51 +379,52 @@ def run(config, mesh, graph, u0, f=None, branch_policy="all"):
     """Step the inclusion over the whole horizon, growing a SolutionTree.
 
     Forcing always passes through per-interval averaging (a zero closure
-    substitutes when f is None), keeping a single code path.  Branches that
-    admit no successor are terminated and recorded; if every branch dies the
-    tree stops early with ``no_solution_level`` set.  The candidates of a
-    level are merged (corner solutions, states reached from two parents)
-    before the branch policy picks among them.
+    substitutes when f is None), keeping a single code path.  Each level is
+    stepped in one call, all of its branches at once.  Branches
+    that admit no successor are terminated and recorded; if every branch
+    dies the tree stops early with ``no_solution_level`` set.  The children
+    of a level are merged (corner solutions, states reached from two
+    parents) before the branch policy picks among them.
     """
     if branch_policy not in BRANCH_POLICIES:
         raise ValueError("unknown branch policy %r" % (branch_policy,))
     if f is None:
         f = lambda t: np.zeros(mesh.n)
 
+    tags = segment_tags(graph)
     tree = SolutionTree(mesh=mesh, config=config, policy=branch_policy)
-    root = Branch(project_initial(mesh, u0), None, "init", None, "0")
-    tree.levels.append([root])
+    states = project_initial(mesh, u0)[None, :]
+    states.setflags(write=False)
+    tree.states.append(states)
+    tree.levels.append([Branch(states[0], None, "init", None, "0")])
 
     for k in range(1, config.num_steps + 1):
         f_k = clement_average(f, config.tau, k)
-        candidates = []
-        for parent_idx, parent in enumerate(tree.levels[-1]):
-            fails = []
-            sols = rothe_step_all(mesh, graph, parent.state, config.tau, f_k, failures=fails)
-            for tag, msg in fails:
-                tree.step_failures.append((k, parent.branch_id, tag, msg))
-            if not sols:
-                tree.terminated.append((k, parent.branch_id))
-                continue
-            for sol in sols:
-                seg_index = int(sol.case_tag[1:])
-                candidates.append(
-                    Branch(
-                        sol.state,
-                        parent_idx,
-                        sol.case_tag,
-                        sol.boundary_flux,
-                        "%s.%d" % (parent.branch_id, seg_index),
-                    )
-                )
-        kept = _select(_merge_duplicates(candidates), branch_policy) if candidates else []
+        parents = tree.levels[-1]
+        fails = []
+        step = rothe_step_all(mesh, graph, tree.states[-1], config.tau, f_k, failures=fails)
+        for row, tag, msg in fails:
+            tree.step_failures.append((k, parents[row].branch_id, tag, msg))
+        stepped = set(step.parent.tolist())
+        if len(stepped) < len(parents):
+            tree.terminated.extend((k, b.branch_id) for row, b in enumerate(parents)
+                                   if row not in stepped)
+        if not len(step):
+            tree.no_solution_level = k
+            break
+        kept = _select(step.states, _merge_duplicates(step.states), branch_policy)
         if len(kept) > config.max_branches:
             kept = kept[: config.max_branches]
             tree.truncated = True
-        if not kept:
-            tree.no_solution_level = k
-            break
-        tree.levels.append(kept)
+        states = step.states[kept]
+        states.setflags(write=False)
+        tree.states.append(states)
+        tree.levels.append([
+            Branch(state, parent, tags[seg], flux, "%s.%d" % (parents[parent].branch_id, seg))
+            for state, parent, seg, flux in zip(
+                states, step.parent[kept].tolist(), step.segment[kept].tolist(),
+                step.flux[kept].tolist())
+        ])
     return tree
 
 

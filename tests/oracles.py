@@ -125,27 +125,39 @@ def schur_scan_solutions(mesh, graph, prev, tau, f_k=None, grid=1e-5, tol=1e-9):
     return out
 
 
-def check_tree(tree, graph, rtol=1e-12, tol=1e-12):
-    """Dense certificate of an unforced solution tree: every branch solves the
-    step inclusion it claims, against its parent.
+def step_mean(f, tau, k):
+    """Mean of the action vector f(t) over ((k-1)*tau, k*tau), by 5-point
+    Gauss-Legendre quadrature: exact up to rounding for f polynomial in t of
+    degree at most 9, where the library's Simpson rule is exact to degree 3."""
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    times = (k - 0.5) * tau + 0.5 * tau * nodes
+    return sum(w * np.asarray(f(t), dtype=float) for w, t in zip(weights, times)) / 2.0
 
-    Each row of the residual (M/tau + K) a + e_n*xi - M a_parent/tau, with
-    matrices from dense_step_matrix, must be within ``rtol`` of that row's
-    scale, the sum of the magnitudes of its terms.  The boundary pair
-    (a_n, xi) must lie, within ``tol``, on the graph segment that the
-    branch's case tag names: affine tags ``a<i>`` by the segment's closed
-    interval and line, vertical tags ``v<i>`` by its point and flux interval.
+
+def check_tree(tree, graph, f=None, rtol=1e-12, tol=1e-12):
+    """Dense certificate of a solution tree: every branch solves the step
+    inclusion it claims, against its parent.
+
+    Each row of the residual (M/tau + K) a + e_n*xi - M a_parent/tau - f_k,
+    with matrices from dense_step_matrix and f_k = step_mean(f, tau, k) for
+    the forcing ``f`` given to ``run`` (none when f is None), must be within
+    ``rtol`` of that row's scale, the sum of the magnitudes of its terms.
+    The boundary pair (a_n, xi) must lie, within ``tol``, on the graph
+    segment that the branch's case tag names: affine tags ``a<i>`` by the
+    segment's closed interval and line, vertical tags ``v<i>`` by its point
+    and flux interval.
     """
     tau = tree.config.tau
     m, a = dense_step_matrix(tree.mesh, tau)
     checked = 0
     for level in range(1, tree.num_levels):
+        f_k = np.zeros(tree.mesh.n) if f is None else step_mean(f, tau, level)
         for b in tree.levels[level]:
             prev = tree.levels[level - 1][b.parent].state
             xi = b.boundary_flux
-            terms = a @ b.state - m @ prev / tau
+            terms = a @ b.state - m @ prev / tau - f_k
             terms[-1] += xi
-            scale = np.abs(a) @ np.abs(b.state) + np.abs(m) @ np.abs(prev) / tau
+            scale = np.abs(a) @ np.abs(b.state) + np.abs(m) @ np.abs(prev) / tau + np.abs(f_k)
             scale[-1] += abs(xi)
             worst = np.max(np.abs(terms) / scale)
             assert worst <= rtol, (level, b.branch_id, worst)

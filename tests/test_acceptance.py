@@ -179,7 +179,7 @@ def test_criterion_05_step_solver_completeness():
                 prev = rng.uniform(-0.5, 2.5, n)
             f_k = rng.uniform(-0.3, 0.3, n) if trial % 5 == 0 else None
             sols = rothe_step_all(mesh, graph, prev, tau, f_k)
-            got = sorted(s.state[-1] for s in sols)
+            got = sorted(sols.states[:, -1])
             want = schur_scan_solutions(mesh, graph, prev, tau, f_k)
             assert len(got) == len(want), (trial, got, want)
             assert np.allclose(got, want, atol=1e-6), (trial, got, want)
@@ -255,9 +255,10 @@ def test_criterion_09_bv2_correctness():
         for trial in range(25):
             length = int(rng.integers(2, 13))
             if trial % 2:
-                values, norm = list(rng.uniform(-2, 2, size=length)), abs
+                values, norm = list(rng.uniform(-2, 2, size=length)), np.abs
             else:
-                values, norm = list(rng.uniform(-2, 2, size=(length, 2))), np.linalg.norm
+                values = list(rng.uniform(-2, 2, size=(length, 2)))
+                norm = lambda d: np.linalg.norm(d, axis=-1)
             assert bv2_seminorm(values, norm) == brute_force_bv2(values, norm)
 
         mesh = preset_mesh()

@@ -21,6 +21,7 @@ from hvisolve import (
     zero_flux_graph,
 )
 from hvisolve import rothe
+from hvisolve.nonsmooth import MEMBERSHIP_TOL
 from oracles import (
     check_tree,
     greedy_merge_indices,
@@ -79,8 +80,8 @@ def test_step_zero_graph_zero_data():
     mesh = Mesh1D.uniform(5)
     sols = rothe_step_all(mesh, zero_flux_graph(), np.zeros(5), tau=0.1)
     assert len(sols) == 1
-    assert np.allclose(sols[0].state, 0.0, atol=1e-14)
-    assert sols[0].boundary_flux == 0.0
+    assert np.allclose(sols.states[0], 0.0, atol=1e-14)
+    assert sols.flux[0] == 0.0
 
 
 def test_step_pure_heat_matches_dense_solve():
@@ -93,7 +94,7 @@ def test_step_pure_heat_matches_dense_solve():
     m = assemble_mass(mesh).to_dense()
     a = m / tau + assemble_stiffness(mesh).to_dense()
     want = np.linalg.solve(a, m @ prev / tau)
-    assert np.allclose(sols[0].state, want, atol=1e-10)
+    assert np.allclose(sols.states[0], want, atol=1e-10)
 
 
 def test_step_singular_segment_reported_and_skipped():
@@ -104,8 +105,8 @@ def test_step_singular_segment_reported_and_skipped():
     graph = clarke_subdifferential(pot)
     failures = []
     sols = rothe_step_all(mesh, graph, np.array([2.0, 2.0]), tau=1 / 12, failures=failures)
-    assert sols == []
-    assert len(failures) == 1 and failures[0][0] == "a0"
+    assert len(sols) == 0
+    assert len(failures) == 1 and failures[0][:2] == (0, "a0")
 
 
 def test_step_parallel_segment_classified():
@@ -117,9 +118,9 @@ def test_step_parallel_segment_classified():
         failures = []
         sols = rothe_step_all(mesh, clarke_subdifferential(pot), np.array([2.0, 2.0]),
                               tau=1 / 12, failures=failures)
-        assert sols == []
-        assert len(failures) == 1 and failures[0][0] == "a0"
-        assert verdict in failures[0][1]
+        assert len(sols) == 0
+        assert len(failures) == 1 and failures[0][:2] == (0, "a0")
+        assert verdict in failures[0][2]
 
 
 def test_singular_segment_does_not_abort_other_segments():
@@ -130,9 +131,49 @@ def test_singular_segment_does_not_abort_other_segments():
     graph = clarke_subdifferential(pot)
     failures = []
     sols = rothe_step_all(mesh, graph, np.array([2.0, 2.0]), tau=1 / 12, failures=failures)
-    assert [f[0] for f in failures] == ["a0"]
+    assert [f[:2] for f in failures] == [(0, "a0")]
     assert len(sols) >= 1
-    assert all(s.case_tag != "a0" for s in sols)
+    assert all(rothe.segment_tags(graph)[s] != "a0" for s in sols.segment)
+
+
+def test_stacked_step_equals_one_row_steps():
+    rng = np.random.default_rng(11)
+    pots = [potential_j1(), potential_j2(), random_potential(rng), random_potential(rng)]
+    sizes = (6, 50, 401, 30)
+    branched = 0
+    for pot, n in zip(pots, sizes):
+        graph = clarke_subdifferential(pot)
+        tags = rothe.segment_tags(graph)
+        mesh = Mesh1D.uniform(n)
+        tau = float(rng.uniform(0.01, 0.2))
+        parents = rng.choice(pot.breakpoints) + rng.uniform(-0.4, 0.4, (7, n))
+        f_k = rng.uniform(-0.3, 0.3, n)
+        level = rothe_step_all(mesh, graph, parents, tau, f_k)
+        want = {"states": [], "parent": [], "tags": [], "flux": []}
+        for row, prev in enumerate(parents):
+            one = rothe_step_all(mesh, graph, prev, tau, f_k)
+            assert one.parent.tolist() == [0] * len(one)
+            want["states"].extend(one.states)
+            want["parent"].extend([row] * len(one))
+            want["tags"].extend(tags[s] for s in one.segment)
+            want["flux"].extend(one.flux)
+            branched += len(one) > 1
+        assert len(level) == len(want["parent"])
+        assert np.array_equal(level.states, np.reshape(want["states"], (-1, n)))
+        assert level.parent.tolist() == want["parent"]  # parent-major order
+        assert [tags[s] for s in level.segment] == want["tags"]
+        assert np.array_equal(level.flux, want["flux"])
+    assert branched >= 3
+
+
+def test_stacked_step_reports_failures_by_parent_row():
+    mesh = Mesh1D(2, 0.5)
+    pot = PiecewiseQuadraticPotential([1.0], [(-1.9375, 0.0, 0.0), (0.0, 0.0, -1.9375)])
+    parents = np.array([[2.0, 2.0], [3.0, 3.0], [2.0, 2.0]])
+    failures = []
+    rothe_step_all(mesh, clarke_subdifferential(pot), parents, tau=1 / 12, failures=failures)
+    assert [f[:2] for f in failures] == [(0, "a0"), (1, "a0"), (2, "a0")]
+    assert failures[0][2] == failures[2][2] != failures[1][2]
 
 
 def test_run_records_dead_tree():
@@ -155,8 +196,8 @@ def test_corner_solution_reported_twice_and_merged_once():
     graph = clarke_subdifferential(potential_j1())
     c = 4.875 / 3.625
     sols = rothe_step_all(mesh, graph, np.array([c, c]), tau=1 / 12)
-    assert [s.case_tag for s in sols] == ["a1", "v2", "a3"]
-    assert np.max(np.abs(sols[0].state - sols[1].state)) < rothe.DEDUPE_TOL
+    assert [rothe.segment_tags(graph)[s] for s in sols.segment] == ["a1", "v2", "a3"]
+    assert np.max(np.abs(sols.states[0] - sols.states[1])) < rothe.DEDUPE_TOL
     cfg = RotheConfig(tau=1 / 12, num_steps=1)
     want = {
         "all": [("0.1", "a1"), ("0.3", "a3")],
@@ -169,10 +210,32 @@ def test_corner_solution_reported_twice_and_merged_once():
         assert [(b.branch_id, b.case_tag) for b in tree.levels[1]] == level, policy
 
 
+def test_membership_tolerance_at_segment_ends():
+    # n=2, dx=1/2, tau=1/12: g = 3.875 and e0 = 3.625*c for prev = [c, c].
+    # j = 0 left of r = 1 and r - 1 right of it: a0 is xi = 0 on (-inf, 1],
+    # v1 stands at r = 1 over xi in [0, 1], a2 is xi = 1 on [1, inf)
+    mesh = Mesh1D(2, 0.5)
+    graph = clarke_subdifferential(
+        PiecewiseQuadraticPotential([1.0], [(0.0, 0.0, 0.0), (0.0, 1.0, -1.0)]))
+    tags = rothe.segment_tags(graph)
+    g, tol = 3.875, MEMBERSHIP_TOL
+    for e0, want in (
+        (g * (1 + 0.5 * tol), ["a0", "v1"]),  # a0 at r = 1 + tol/2
+        (g * (1 + 3 * tol), ["v1"]),
+        (g * (1 - 0.2 * tol), ["a0", "v1"]),  # v1 at xi = -0.775*tol
+        (g * (1 - tol), ["a0"]),
+        (g * (1 - 0.5 * tol) + 1, ["v1", "a2"]),  # a2 at r = 1 - tol/2
+        (g * (1 - 3 * tol) + 1, ["v1"]),
+        (g + 1 + 0.5 * tol, ["v1", "a2"]),  # v1 at xi = 1 + tol/2
+        (g + 1 + 3 * tol, ["a2"]),
+    ):
+        c = e0 / 3.625
+        level = rothe_step_all(mesh, graph, np.array([c, c]), tau=1 / 12)
+        assert [tags[s] for s in level.segment] == want, e0
+
+
 def _merged_indices(states):
-    candidates = [rothe.StepSolution(s, "a0", 0.0) for s in states]
-    index = {id(c): i for i, c in enumerate(candidates)}
-    return [index[id(c)] for c in rothe._merge_duplicates(candidates)]
+    return rothe._merge_duplicates(np.asarray(states)).tolist()
 
 
 def test_merge_chain_follows_candidate_order():
@@ -243,15 +306,15 @@ def test_step_enumeration_matches_scan_oracle():
     kinds = set()
     for trial, (mesh, graph, prev, tau) in enumerate(cases):
         sols = rothe_step_all(mesh, graph, prev, tau)
-        got = sorted(s.state[-1] for s in sols)
+        got = sorted(sols.states[:, -1])
         want = schur_scan_solutions(mesh, graph, prev, tau)
         assert len(got) == len(want), (trial, got, want)
         assert np.allclose(got, want, atol=1e-6), trial
         branched += len(got) > 1
         if trial < 20:
             continue
-        for s in sols:
-            slope = getattr(graph.segments[int(s.case_tag[1:])], "slope", None)
+        for s in sols.segment:
+            slope = getattr(graph.segments[s], "slope", None)
             kinds.add("vertical" if slope is None else "falling" if slope < 0 else "rising")
     assert branched >= 2  # the corpus must actually exercise multiplicity
     assert kinds == {"vertical", "falling", "rising"}
@@ -301,8 +364,11 @@ def test_tree_invariants_on_branching_run():
     assert tree.completed()
     assert len(tree.levels[0]) == 1
     assert check_tree(tree, graph) == sum(tree.branch_counts()[1:])
-    for branches in tree.levels[1:]:
+    for level, branches in enumerate(tree.levels):
         for i, a in enumerate(branches):
+            # each state is a read-only row of its level's array
+            assert not a.state.flags.writeable
+            assert np.shares_memory(a.state, tree.states[level])
             for b in branches[i + 1:]:
                 assert np.max(np.abs(a.state - b.state)) >= rothe.DEDUPE_TOL
 
@@ -318,6 +384,9 @@ def test_run_with_forcing_reaches_discrete_steady_state():
     cfg = RotheConfig.from_step(0.1, 3.0)
     tree = run(cfg, mesh, zero_flux_graph(), lambda x: 0.0, f=lambda t: g,
                branch_policy="first")
+    assert check_tree(tree, zero_flux_graph(), f=lambda t: g) == cfg.num_steps
+    with pytest.raises(AssertionError):  # the certificate does read the forcing
+        check_tree(tree, zero_flux_graph())
     exact = mesh.nodes - mesh.nodes**2 / 2
     from hvisolve import solve_tridiagonal
 
