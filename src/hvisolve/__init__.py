@@ -13,7 +13,6 @@ from .analysis import (
     apriori_bound_suite,
     bv2_seminorm,
     check_conditions,
-    constant_datum_amplitudes,
     convergence_study,
     heat_series_solution,
     interpolant_norms,
@@ -43,7 +42,6 @@ from .nonsmooth import (
     zero_flux_graph,
 )
 from .rothe import (
-    Branch,
     NoSolutionError,
     RotheConfig,
     SolutionTree,

@@ -67,10 +67,6 @@ class MeshNorms:
         (n, m) array, returned as m rows."""
         return solve_tridiagonal(self.L, g).T / self.sqrt_d
 
-    def dual(self, g):
-        """Dual norm sqrt(g^T (M+K)^{-1} g) of the functional with action vector g."""
-        return _euclidean(self.whiten(g))
-
 
 def _quadratic_form(a, c):
     # np.maximum lets a NaN through: an overflowed state never reads as norm 0
@@ -382,7 +378,3 @@ def heat_series_solution(x, t, amplitudes):
         u += a * math.exp(-lam * lam * t) * np.sin(lam * x)
     return u
 
-
-def constant_datum_amplitudes(value, count):
-    """Series amplitudes of the constant initial datum: 2*value/lam_m."""
-    return [2.0 * value / ((m - 0.5) * math.pi) for m in range(1, count + 1)]

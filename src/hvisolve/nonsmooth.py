@@ -69,11 +69,6 @@ class PiecewiseQuadraticPotential:
     def __call__(self, r):
         return self._piece_value(self.piece_index(r), r)
 
-    @property
-    def has_linear_tails(self):
-        """True when both unbounded pieces are affine (c2 == 0)."""
-        return self.pieces[0][0] == 0.0 and self.pieces[-1][0] == 0.0
-
     def __repr__(self):
         return "PiecewiseQuadraticPotential(breakpoints=%r, pieces=%r)" % (
             list(self.breakpoints),

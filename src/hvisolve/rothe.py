@@ -27,6 +27,11 @@ Otherwise each segment holds at most one solution per parent, so trying
 every segment recovers the complete solution set.  A solution at a corner
 of the graph, where two segments meet, is reported by both; ``run`` merges
 coinciding states once per level.
+
+A step returns its children as one StepLevel record of arrays (states,
+parent rows, segment indices, fluxes).  ``run`` keeps the merged and
+selected rows of it as the tree's level, read-only, beside one branch id
+per row; no level is stored twice.
 """
 
 import functools
@@ -117,25 +122,30 @@ class StepLevel:
     def __len__(self):
         return len(self.states)
 
-
-@dataclass
-class Branch:
-    state: np.ndarray  # a read-only row of its level's array in SolutionTree.states
-    parent: int | None
-    case_tag: str
-    boundary_flux: float | None
-    branch_id: str
+    def take(self, rows):
+        """The children at ``rows``, in that order, with read-only arrays."""
+        arrays = [a[rows] for a in (self.states, self.parent, self.segment, self.flux)]
+        for a in arrays:
+            a.setflags(write=False)
+        return StepLevel(*arrays)
 
 
 @dataclass
 class SolutionTree:
-    """Per-time-step record of all retained discrete solutions."""
+    """Per-time-step record of all retained discrete solutions.
+
+    ``levels[k]`` is the StepLevel of the branches kept at step k, its rows
+    indexing ``branch_ids[k]``; a child's ``parent`` is a row of level k-1
+    and its ``segment`` indexes ``tags``, the graph's segment tags.  The root
+    level holds the initial state, with parent and segment -1 and flux NaN.
+    """
 
     mesh: object
     config: RotheConfig
     policy: str
+    tags: list
     levels: list = field(default_factory=list)
-    states: list = field(default_factory=list)  # per level, the (m, n) array of its states
+    branch_ids: list = field(default_factory=list)  # per level, the id of each row
     truncated: bool = False
     no_solution_level: int | None = None
     terminated: list = field(default_factory=list)  # (level, branch_id) of dead ends
@@ -158,13 +168,10 @@ class SolutionTree:
     def path_states(self, leaf_index=0):
         """Root-to-leaf nodal states, following parent links from the last level."""
         states = []
-        level = self.num_levels - 1
         idx = leaf_index
-        while level >= 0:
-            branch = self.levels[level][idx]
-            states.append(branch.state)
-            idx = branch.parent if branch.parent is not None else 0
-            level -= 1
+        for level in reversed(self.levels):
+            states.append(level.states[idx])
+            idx = level.parent[idx]
         states.reverse()
         return states
 
@@ -172,7 +179,7 @@ class SolutionTree:
         """States of a single-branch tree; fails if any level branched."""
         if any(len(level) != 1 for level in self.levels):
             raise ValueError("tree has branching levels; pick a leaf explicitly")
-        return [level[0].state for level in self.levels]
+        return [level.states[0] for level in self.levels]
 
     def boundary_values(self, leaf_index=0):
         return np.array([s[-1] for s in self.path_states(leaf_index)])
@@ -184,7 +191,7 @@ class SolutionTree:
                 "no solution on any segment at step %r of tau=%r (%d step failures recorded)"
                 % (self.no_solution_level, self.config.tau, len(self.step_failures))
             )
-        if not all(np.isfinite(states).all() for states in self.states):
+        if not all(np.isfinite(level.states).all() for level in self.levels):
             raise FloatingPointError("non-finite state in the solution tree")
         return self
 
@@ -378,36 +385,32 @@ def _select(states, kept, policy):
 def run(config, mesh, graph, u0, f=None, branch_policy="all"):
     """Step the inclusion over the whole horizon, growing a SolutionTree.
 
-    Forcing always passes through per-interval averaging (a zero closure
-    substitutes when f is None), keeping a single code path.  Each level is
-    stepped in one call, all of its branches at once.  Branches
-    that admit no successor are terminated and recorded; if every branch
-    dies the tree stops early with ``no_solution_level`` set.  The children
-    of a level are merged (corner solutions, states reached from two
-    parents) before the branch policy picks among them.
+    Forcing is averaged over each step interval (a zero vector when f is
+    None).  Each level is stepped in one call, all of its branches at once.
+    Branches that admit no successor are terminated and recorded; if every
+    branch dies the tree stops early with ``no_solution_level`` set.  The
+    children of a level are merged (corner solutions, states reached from
+    two parents) before the branch policy picks among them.
     """
     if branch_policy not in BRANCH_POLICIES:
         raise ValueError("unknown branch policy %r" % (branch_policy,))
-    if f is None:
-        f = lambda t: np.zeros(mesh.n)
+    zero = np.zeros(mesh.n)
 
-    tags = segment_tags(graph)
-    tree = SolutionTree(mesh=mesh, config=config, policy=branch_policy)
-    states = project_initial(mesh, u0)[None, :]
-    states.setflags(write=False)
-    tree.states.append(states)
-    tree.levels.append([Branch(states[0], None, "init", None, "0")])
+    tree = SolutionTree(mesh=mesh, config=config, policy=branch_policy, tags=segment_tags(graph))
+    root = StepLevel(project_initial(mesh, u0)[None, :], np.array([-1]), np.array([-1]),
+                     np.array([np.nan]))
+    tree.levels.append(root.take([0]))
+    tree.branch_ids.append(["0"])
 
     for k in range(1, config.num_steps + 1):
-        f_k = clement_average(f, config.tau, k)
-        parents = tree.levels[-1]
+        f_k = zero if f is None else clement_average(f, config.tau, k)
+        parent_ids = tree.branch_ids[-1]
         fails = []
-        step = rothe_step_all(mesh, graph, tree.states[-1], config.tau, f_k, failures=fails)
-        for row, tag, msg in fails:
-            tree.step_failures.append((k, parents[row].branch_id, tag, msg))
+        step = rothe_step_all(mesh, graph, tree.levels[-1].states, config.tau, f_k, failures=fails)
+        tree.step_failures.extend((k, parent_ids[row], tag, msg) for row, tag, msg in fails)
         stepped = set(step.parent.tolist())
-        if len(stepped) < len(parents):
-            tree.terminated.extend((k, b.branch_id) for row, b in enumerate(parents)
+        if len(stepped) < len(parent_ids):
+            tree.terminated.extend((k, bid) for row, bid in enumerate(parent_ids)
                                    if row not in stepped)
         if not len(step):
             tree.no_solution_level = k
@@ -416,15 +419,10 @@ def run(config, mesh, graph, u0, f=None, branch_policy="all"):
         if len(kept) > config.max_branches:
             kept = kept[: config.max_branches]
             tree.truncated = True
-        states = step.states[kept]
-        states.setflags(write=False)
-        tree.states.append(states)
-        tree.levels.append([
-            Branch(state, parent, tags[seg], flux, "%s.%d" % (parents[parent].branch_id, seg))
-            for state, parent, seg, flux in zip(
-                states, step.parent[kept].tolist(), step.segment[kept].tolist(),
-                step.flux[kept].tolist())
-        ])
+        level = step.take(kept)
+        tree.levels.append(level)
+        tree.branch_ids.append(["%s.%d" % (parent_ids[p], s) for p, s in
+                                zip(level.parent.tolist(), level.segment.tolist())])
     return tree
 
 
@@ -436,13 +434,13 @@ def trajectory_rows(tree):
     lazily so that the whole table is never held at once.
 
     Columns: t, branch_id, parent_id, case_tag, alpha_1..alpha_n, xi.  The
-    root row has empty parent and flux fields.
+    root row has case tag ``init`` and empty parent and flux fields.
     """
-    for level, branches in enumerate(tree.levels):
-        t = level * tree.config.tau
-        for b in branches:
-            parent_id = ""
-            if b.parent is not None:
-                parent_id = tree.levels[level - 1][b.parent].branch_id
-            flux = "" if b.boundary_flux is None else b.boundary_flux
-            yield [t, b.branch_id, parent_id, b.case_tag, *b.state.tolist(), flux]
+    yield [0.0, tree.branch_ids[0][0], "", "init", *tree.levels[0].states[0].tolist(), ""]
+    for k in range(1, tree.num_levels):
+        level, parent_ids = tree.levels[k], tree.branch_ids[k - 1]
+        t = k * tree.config.tau
+        for bid, state, parent, seg, flux in zip(
+                tree.branch_ids[k], level.states, level.parent.tolist(),
+                level.segment.tolist(), level.flux.tolist()):
+            yield [t, bid, parent_ids[parent], tree.tags[seg], *state.tolist(), flux]

@@ -150,29 +150,31 @@ def check_tree(tree, graph, f=None, rtol=1e-12, tol=1e-12):
     tau = tree.config.tau
     m, a = dense_step_matrix(tree.mesh, tau)
     checked = 0
-    for level in range(1, tree.num_levels):
-        f_k = np.zeros(tree.mesh.n) if f is None else step_mean(f, tau, level)
-        for b in tree.levels[level]:
-            prev = tree.levels[level - 1][b.parent].state
-            xi = b.boundary_flux
-            terms = a @ b.state - m @ prev / tau - f_k
+    for k in range(1, tree.num_levels):
+        f_k = np.zeros(tree.mesh.n) if f is None else step_mean(f, tau, k)
+        level, prev_states = tree.levels[k], tree.levels[k - 1].states
+        for i, bid in enumerate(tree.branch_ids[k]):
+            state, prev = level.states[i], prev_states[level.parent[i]]
+            xi = float(level.flux[i])
+            tag = tree.tags[level.segment[i]]
+            terms = a @ state - m @ prev / tau - f_k
             terms[-1] += xi
-            scale = np.abs(a) @ np.abs(b.state) + np.abs(m) @ np.abs(prev) / tau + np.abs(f_k)
+            scale = np.abs(a) @ np.abs(state) + np.abs(m) @ np.abs(prev) / tau + np.abs(f_k)
             scale[-1] += abs(xi)
             worst = np.max(np.abs(terms) / scale)
-            assert worst <= rtol, (level, b.branch_id, worst)
+            assert worst <= rtol, (k, bid, worst)
 
-            r = b.state[-1]
-            seg = graph.segments[int(b.case_tag[1:])]
-            if b.case_tag[0] == "v":
-                assert isinstance(seg, VerticalSegment), b.case_tag
-                assert abs(r - seg.r) <= tol, (b.branch_id, r, seg)
-                assert seg.xi_lo - tol <= xi <= seg.xi_hi + tol, (b.branch_id, xi, seg)
+            r = state[-1]
+            seg = graph.segments[int(tag[1:])]
+            if tag[0] == "v":
+                assert isinstance(seg, VerticalSegment), tag
+                assert abs(r - seg.r) <= tol, (bid, r, seg)
+                assert seg.xi_lo - tol <= xi <= seg.xi_hi + tol, (bid, xi, seg)
             else:
-                assert isinstance(seg, AffineSegment), b.case_tag
-                assert seg.r_lo - tol <= r <= seg.r_hi + tol, (b.branch_id, r, seg)
+                assert isinstance(seg, AffineSegment), tag
+                assert seg.r_lo - tol <= r <= seg.r_hi + tol, (bid, r, seg)
                 line = seg.slope * r + seg.intercept
-                assert abs(xi - line) <= tol * max(1.0, abs(xi)), (b.branch_id, xi, line)
+                assert abs(xi - line) <= tol * max(1.0, abs(xi)), (bid, xi, line)
             checked += 1
     return checked
 

@@ -14,7 +14,6 @@ from hvisolve import (
     bv2_seminorm,
     check_conditions,
     clarke_subdifferential,
-    constant_datum_amplitudes,
     convergence_study,
     heat_series_solution,
     interpolant_norms,
@@ -280,8 +279,13 @@ def test_bound_and_convergence_sums_match_dense_loops():
 # ---------------------------------------------------------------------------
 # separated-variables reference solution
 
+def _constant_datum_amplitudes(value, count):
+    """Series amplitudes of the constant initial datum: 2*value/lam_m."""
+    return [2.0 * value / ((m - 0.5) * math.pi) for m in range(1, count + 1)]
+
+
 def test_heat_series_satisfies_the_pde():
-    amps = constant_datum_amplitudes(2.0, 400)
+    amps = _constant_datum_amplitudes(2.0, 400)
     x, t, h = 0.43, 0.2, 1e-4
     u_t = (heat_series_solution([x], t + h, amps)[0]
            - heat_series_solution([x], t - h, amps)[0]) / (2 * h)
@@ -292,7 +296,7 @@ def test_heat_series_satisfies_the_pde():
 
 
 def test_heat_series_boundary_conditions():
-    amps = constant_datum_amplitudes(2.0, 400)
+    amps = _constant_datum_amplitudes(2.0, 400)
     assert heat_series_solution([0.0], 0.13, amps)[0] == 0.0
     h = 1e-6
     flux = (heat_series_solution([1.0], 0.13, amps)[0]

@@ -28,7 +28,13 @@ def test_traced_selftest_workload_records_steps(tmp_path, monkeypatch):
     finally:
         tracer.uninstall()
     assert rc == 0
-    assert tracer.metrics()["rothe.step_calls"] > 0
+    metrics = tracer.metrics()
+    assert metrics["rothe.step_calls"] > 0
+    # the run wrapper counts len(level) over the tree's non-root levels: the
+    # kept rows, one trajectory row each after the header and the root row
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+    kept = metrics["rothe.candidates"] - metrics["rothe.level_discarded"]
+    assert kept == len(rows) - 2 > 0
     recorded = {span[0] for span in tracer.spans}
     missing = {name for _, _, name in tracing.BOUNDARIES} - recorded
     assert not missing, sorted(missing)

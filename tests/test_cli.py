@@ -352,15 +352,16 @@ def test_trajectory_and_surface_match_csv_writer(tmp_path):
     assert max(tree.branch_counts()) > 1
     rows = trajectory_rows(tree)
     assert iter(rows) is rows and not isinstance(rows, list)  # lazy
-    assert next(rows)[:4] == [0.0, "0", "", tree.levels[0][0].case_tag]
+    assert next(rows)[:4] == [0.0, "0", "", "init"]
 
     want = []
-    for level, branches in enumerate(tree.levels):
-        for b in branches:
-            parent = "" if b.parent is None else tree.levels[level - 1][b.parent].branch_id
-            flux = "" if b.boundary_flux is None else b.boundary_flux
-            want.append([level * tree.config.tau, b.branch_id, parent, b.case_tag,
-                         *b.state, flux])
+    for k, (level, ids) in enumerate(zip(tree.levels, tree.branch_ids)):
+        for i, bid in enumerate(ids):
+            parent, tag, flux = "", "init", ""
+            if k:
+                parent = tree.branch_ids[k - 1][level.parent[i]]
+                tag, flux = tree.tags[level.segment[i]], float(level.flux[i])
+            want.append([k * tree.config.tau, bid, parent, tag, *level.states[i], flux])
     header = (["t", "branch_id", "parent_id", "case_tag"]
               + ["alpha_%d" % i for i in range(1, 11)] + ["xi"])
     write_trajectory(tmp_path / "trajectory.csv", tree)

@@ -176,5 +176,10 @@ def test_integrating_graph_recovers_potential():
 
 
 def test_linear_tails_flag():
-    assert potential_j1().has_linear_tails
-    assert not PiecewiseQuadraticPotential([], [(0.5, 0.0, 0.0)]).has_linear_tails
+    # affine unbounded pieces of j give flat unbounded segments of its graph
+    def tail_slopes(j):
+        return [seg.slope for seg in clarke_subdifferential(j).segments
+                if isinstance(seg, AffineSegment) and not np.isfinite([seg.r_lo, seg.r_hi]).all()]
+
+    assert tail_slopes(potential_j1()) == [0.0, 0.0]
+    assert tail_slopes(PiecewiseQuadraticPotential([], [(0.5, 0.0, 0.0)])) == [1.0]

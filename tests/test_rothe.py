@@ -207,7 +207,8 @@ def test_corner_solution_reported_twice_and_merged_once():
     }
     for policy, level in want.items():
         tree = run(cfg, mesh, graph, lambda x: c, branch_policy=policy)
-        assert [(b.branch_id, b.case_tag) for b in tree.levels[1]] == level, policy
+        tags = [tree.tags[s] for s in tree.levels[1].segment]
+        assert list(zip(tree.branch_ids[1], tags)) == level, policy
 
 
 def test_membership_tolerance_at_segment_ends():
@@ -344,6 +345,35 @@ def test_run_j1_branches_and_extreme_policies_differ():
     assert np.min(hi - lo) >= -1e-12
 
 
+def test_extreme_branches_bracket_every_branch():
+    # comparison principle: for tau >= dx^2/6, M/tau + K is an M-matrix, so
+    # e0 rises with the parent, w <= 0, and the least and greatest roots of
+    # e0 in g*r + dj(r) rise with e0; the min_boundary and max_boundary
+    # chains then bound every state of the full tree from below and above
+    rng = np.random.default_rng(2024)
+    branching = 0
+    for _ in range(100):
+        pot = random_potential(rng)
+        graph = clarke_subdifferential(pot)
+        mesh = Mesh1D.uniform(int(rng.integers(6, 16)))
+        tau = float(mesh.dx) ** 2 / 6 * float(rng.uniform(1.0, 40.0))
+        c = float(rng.choice(pot.breakpoints)) + float(rng.uniform(-0.5, 0.5))
+        amp = float(rng.uniform(-0.5, 0.5))
+        cfg = RotheConfig(tau=tau, num_steps=4, max_branches=10**6)
+        trees = {p: run(cfg, mesh, graph, lambda x: c + amp * np.sin(3 * x), branch_policy=p)
+                 for p in ("all", "min_boundary", "max_boundary")}
+        for tree in trees.values():
+            tree.require_solved()
+        assert not trees["all"].truncated
+        lo = trees["min_boundary"].chain_states()
+        hi = trees["max_boundary"].chain_states()
+        for k, level in enumerate(trees["all"].levels):
+            assert np.all(level.states >= lo[k] - 1e-9), k
+            assert np.all(level.states <= hi[k] + 1e-9), k
+        branching += trees["all"].max_branch_count > 1
+    assert branching >= 5  # the trials must actually branch
+
+
 def test_run_policies_identical_for_linear_graph():
     mesh = Mesh1D.uniform(10)
     cfg = RotheConfig.from_step(0.05, 0.5)
@@ -353,7 +383,7 @@ def test_run_policies_identical_for_linear_graph():
     ]
     for a, b in zip(trees[0].levels, trees[1].levels):
         assert len(a) == len(b) == 1
-        assert np.array_equal(a[0].state, b[0].state)
+        assert np.array_equal(a.states, b.states)
 
 
 def test_tree_invariants_on_branching_run():
@@ -364,13 +394,14 @@ def test_tree_invariants_on_branching_run():
     assert tree.completed()
     assert len(tree.levels[0]) == 1
     assert check_tree(tree, graph) == sum(tree.branch_counts()[1:])
-    for level, branches in enumerate(tree.levels):
-        for i, a in enumerate(branches):
-            # each state is a read-only row of its level's array
-            assert not a.state.flags.writeable
-            assert np.shares_memory(a.state, tree.states[level])
-            for b in branches[i + 1:]:
-                assert np.max(np.abs(a.state - b.state)) >= rothe.DEDUPE_TOL
+    for level, ids in zip(tree.levels, tree.branch_ids):
+        # one read-only record per level, one branch id per row
+        arrays = (level.states, level.parent, level.segment, level.flux)
+        assert all(not a.flags.writeable and len(a) == len(level) for a in arrays)
+        assert len(set(ids)) == len(ids) == len(level)
+        for i, a in enumerate(level.states):
+            for b in level.states[i + 1:]:
+                assert np.max(np.abs(a - b)) >= rothe.DEDUPE_TOL
 
 
 def test_run_with_forcing_reaches_discrete_steady_state():
@@ -404,7 +435,7 @@ def test_leaf_paths_share_the_root():
     for leaf in range(len(tree.levels[-1])):
         path = tree.path_states(leaf)
         assert len(path) == tree.num_levels
-        assert np.array_equal(path[0], tree.levels[0][0].state)
+        assert np.array_equal(path[0], tree.levels[0].states[0])
 
 
 def test_backward_euler_dissipativity_pure_heat():
@@ -424,7 +455,7 @@ def test_interpolant_gap_identity():
                branch_policy="first")
     states = tree.chain_states()
     kit = MeshNorms(mesh)
-    der = [kit.dual(kit.M.matvec(d / cfg.tau)) for d in np.diff(states, axis=0)]
+    der = [np.linalg.norm(kit.whiten(kit.M.matvec(d / cfg.tau))) for d in np.diff(states, axis=0)]
     rhs = cfg.tau**2 / 3.0 * cfg.tau * sum(v * v for v in der)
     lhs = interpolant_gap(mesh, states, cfg.tau) ** 2
     assert lhs == pytest.approx(rhs, rel=1e-10)
