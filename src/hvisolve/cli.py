@@ -263,23 +263,32 @@ def trajectory_header(n):
     return TRAJECTORY_HEADER + ["alpha_%d" % i for i in range(1, n + 1)] + ["xi"]
 
 
-def write_trajectory(path, tree):
-    write_csv(path, trajectory_header(tree.mesh.n), trajectory_rows(tree))
+def write_trajectory(path, tree, surface=None):
+    """The branch-trajectory table at ``path``, streamed one row at a time.
 
-
-def surface_rows(tree):
-    """x, t, u rows of the first root-to-leaf path, the Dirichlet end first at
-    each level, as ("x,t", u) pairs: each node's x is formatted once, and
-    each level's "x,t" prefixes once."""
+    With ``surface``, the x, t, u table of the path ``tree.path_states(0)``
+    follows goes there in the same pass, the Dirichlet end first at each
+    level.  Each level's surface lines are built from the text of its path
+    row, so every value on the path is formatted once.
+    """
+    n = tree.mesh.n
     dx = float(tree.mesh.dx)
-    xs = ["0.0"] + [str(i * dx) for i in range(1, tree.mesh.n + 1)]
-    for k, state in enumerate(tree.path_states(0)):
-        t = "," + str(k * tree.config.tau)
-        yield from zip([x + t for x in xs], [0.0, *state.tolist()])
-
-
-def write_surface(path, tree):
-    write_csv(path, ["x", "t", "u"], surface_rows(tree))
+    xs = ["0.0"] + [str(i * dx) for i in range(1, n + 1)]
+    on_path = tree.path_rows(0) if surface is not None else [-1] * tree.num_levels
+    rows = trajectory_rows(tree)
+    # Without a surface its header goes to the null device, and no row is on the path.
+    with open(path, "w", newline="") as fh, open(surface or os.devnull, "w", newline="") as sf:
+        fh.write(",".join(trajectory_header(n)) + "\n")
+        sf.write("x,t,u\n")
+        for count, path_row in zip(tree.branch_counts(), on_path):
+            for row, values in zip(range(count), rows):
+                line = ",".join(map(str, values))
+                fh.write(line + "\n")
+                if row == path_row:
+                    fields = line.split(",")
+                    sep = "," + fields[0] + ","
+                    us = ["0.0", *fields[len(TRAJECTORY_HEADER):-1]]  # alpha_1..alpha_n
+                    sf.write("\n".join(map(sep.join, zip(xs, us))) + "\n")
 
 
 def write_matrices(outdir, mesh):
@@ -327,8 +336,7 @@ def cmd_run(args):
     report = interpolant_norms(tree.mesh, tree.path_states(0), cfg.dt)
     if not np.isfinite(report.csv_row()).all():
         raise FloatingPointError("non-finite norm in %r" % (report,))
-    write_trajectory(outdir / "trajectory.csv", tree)
-    write_surface(outdir / "surface.csv", tree)
+    write_trajectory(outdir / "trajectory.csv", tree, surface=outdir / "surface.csv")
     write_plot_script(outdir / "plot.gp")
     write_csv(outdir / "norms.csv", NormReport.CSV_HEADER, [report.csv_row()])
     if args.dump_matrices:

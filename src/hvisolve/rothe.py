@@ -165,15 +165,18 @@ class SolutionTree:
     def completed(self):
         return self.no_solution_level is None and self.num_levels == self.config.num_steps + 1
 
+    def path_rows(self, leaf_index=0):
+        """Row of each level on the root-to-leaf path, following parent links
+        from the last level."""
+        rows = [leaf_index]
+        for level in reversed(self.levels[1:]):
+            rows.append(int(level.parent[rows[-1]]))
+        rows.reverse()
+        return rows
+
     def path_states(self, leaf_index=0):
-        """Root-to-leaf nodal states, following parent links from the last level."""
-        states = []
-        idx = leaf_index
-        for level in reversed(self.levels):
-            states.append(level.states[idx])
-            idx = level.parent[idx]
-        states.reverse()
-        return states
+        """Root-to-leaf nodal states, one per level."""
+        return [level.states[row] for level, row in zip(self.levels, self.path_rows(leaf_index))]
 
     def chain_states(self):
         """States of a single-branch tree; fails if any level branched."""

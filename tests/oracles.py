@@ -10,6 +10,7 @@ comparison instead of a window on sorted boundary values.
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -123,6 +124,67 @@ def schur_scan_solutions(mesh, graph, prev, tau, f_k=None, grid=1e-5, tol=1e-9):
         if not out or abs(r - out[-1]) > 1e-9:
             out.append(r)
     return out
+
+
+def _exact_solve(a, columns):
+    """a^{-1} applied to each of ``columns``, by dense Gaussian elimination
+    in exact arithmetic (a is nonsingular, so a nonzero pivot always exists)."""
+    n = len(a)
+    rows = [list(a[i]) + [c[i] for c in columns] for i in range(n)]
+    for j in range(n):
+        pivot = next(i for i in range(j, n) if rows[i][j] != 0)
+        rows[j], rows[pivot] = rows[pivot], rows[j]
+        for i in range(n):
+            if i != j and rows[i][j] != 0:
+                ratio = rows[i][j] / rows[j][j]
+                rows[i] = [x - ratio * y for x, y in zip(rows[i], rows[j])]
+    return [[rows[i][n + c] / rows[i][i] for i in range(n)] for c in range(len(columns))]
+
+
+def exact_step(n, graph, prev, tau):
+    """One unforced backward-Euler step from ``prev`` in Fraction arithmetic.
+
+    Every float given (prev, tau, the segment data) is taken as the rational
+    it is; the mesh is the exact one of n free nodes, dx = 1/n, and
+    A = M/tau + K is built from the closed-form P1 entries.  Eliminating the
+    interior gives xi = e0 - g*r.  Returns (g, e0, cases) with one case per
+    graph segment: None for a segment parallel to that line, else
+    (r, flux, margin), where margin >= 0 exactly when the solution of the
+    line lies on the segment, and |margin| is its distance to the nearer
+    segment end (in r for an affine segment, in flux for a vertical one).
+    No tolerance is used.
+    """
+    dx, tau = Fraction(1, n), Fraction(tau)
+    u = [Fraction(v) for v in prev]
+    m_diag = [2 * dx / 3] * (n - 1) + [dx / 3]
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = m_diag[i] / tau + (2 if i < n - 1 else 1) / dx
+        if i:
+            a[i][i - 1] = a[i - 1][i] = dx / 6 / tau - 1 / dx
+    rhs = [(m_diag[i] * u[i] + sum(dx / 6 * u[j] for j in (i - 1, i + 1) if 0 <= j < n)) / tau
+           for i in range(n)]
+    interior = [row[: n - 1] for row in a[: n - 1]]
+    y, w = _exact_solve(interior, [rhs[: n - 1], [row[n - 1] for row in a[: n - 1]]])
+    coupling = a[n - 1][n - 2]
+    g = a[n - 1][n - 1] - coupling * w[-1]
+    e0 = rhs[n - 1] - coupling * y[-1]
+    cases = []
+    for seg in graph.segments:
+        if isinstance(seg, VerticalSegment):
+            r = Fraction(seg.r)
+            flux = e0 - g * r
+            ends = [flux - Fraction(seg.xi_lo), Fraction(seg.xi_hi) - flux]
+        elif g + Fraction(seg.slope) == 0:
+            cases.append(None)
+            continue
+        else:
+            r = (e0 - Fraction(seg.intercept)) / (g + Fraction(seg.slope))
+            flux = Fraction(seg.slope) * r + Fraction(seg.intercept)
+            ends = [r - Fraction(seg.r_lo) if math.isfinite(seg.r_lo) else math.inf,
+                    Fraction(seg.r_hi) - r if math.isfinite(seg.r_hi) else math.inf]
+        cases.append((r, flux, min(ends)))
+    return g, e0, cases
 
 
 def step_mean(f, tau, k):

@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hvisolve import (
     Mesh1D,
     RotheConfig,
+    SolutionTree,
     clarke_subdifferential,
     potential_j1,
     run,
@@ -18,9 +22,9 @@ from hvisolve.cli import (
     main,
     merge_config,
     write_csv,
-    write_surface,
     write_trajectory,
 )
+from hvisolve.rothe import StepLevel
 
 
 def _read_csv(path):
@@ -347,35 +351,85 @@ def _selftest_tree():
                clarke_subdifferential(potential_j1()), lambda x: 1.5, branch_policy="all")
 
 
-def test_trajectory_and_surface_match_csv_writer(tmp_path):
-    tree = _selftest_tree()
-    assert max(tree.branch_counts()) > 1
-    rows = trajectory_rows(tree)
-    assert iter(rows) is rows and not isinstance(rows, list)  # lazy
-    assert next(rows)[:4] == [0.0, "0", "", "init"]
-
-    want = []
+def _want_tables(tree):
+    """The expected trajectory and surface rows, built from the level arrays."""
+    trajectory = []
     for k, (level, ids) in enumerate(zip(tree.levels, tree.branch_ids)):
         for i, bid in enumerate(ids):
             parent, tag, flux = "", "init", ""
             if k:
                 parent = tree.branch_ids[k - 1][level.parent[i]]
                 tag, flux = tree.tags[level.segment[i]], float(level.flux[i])
-            want.append([k * tree.config.tau, bid, parent, tag, *level.states[i], flux])
-    header = (["t", "branch_id", "parent_id", "case_tag"]
-              + ["alpha_%d" % i for i in range(1, 11)] + ["xi"])
-    write_trajectory(tmp_path / "trajectory.csv", tree)
-    assert ((tmp_path / "trajectory.csv").read_bytes()
-            == _csv_writer_bytes(tmp_path / "want_trajectory.csv", header, want))
-
-    want = []
+            trajectory.append([k * tree.config.tau, bid, parent, tag, *level.states[i], flux])
+    surface = []
     for k, state in enumerate(tree.path_states(0)):
         t = k * tree.config.tau
-        want.append([0.0, t, 0.0])
-        want.extend([i * tree.mesh.dx, t, u] for i, u in enumerate(state, start=1))
-    write_surface(tmp_path / "surface.csv", tree)
+        surface.append([0.0, t, 0.0])
+        surface.extend([i * tree.mesh.dx, t, u] for i, u in enumerate(state, start=1))
+    return trajectory, surface
+
+
+def _check_tables(tmp_path, tree):
+    """write_trajectory with and without a surface against the csv.writer oracle."""
+    want_trajectory, want_surface = _want_tables(tree)
+    header = (["t", "branch_id", "parent_id", "case_tag"]
+              + ["alpha_%d" % i for i in range(1, tree.mesh.n + 1)] + ["xi"])
+    want = _csv_writer_bytes(tmp_path / "want_trajectory.csv", header, want_trajectory)
+    write_trajectory(tmp_path / "trajectory.csv", tree, surface=tmp_path / "surface.csv")
+    assert (tmp_path / "trajectory.csv").read_bytes() == want
     assert ((tmp_path / "surface.csv").read_bytes()
-            == _csv_writer_bytes(tmp_path / "want_surface.csv", ["x", "t", "u"], want))
+            == _csv_writer_bytes(tmp_path / "want_surface.csv", ["x", "t", "u"], want_surface))
+
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    write_trajectory(alone / "trajectory.csv", tree)
+    assert os.listdir(alone) == ["trajectory.csv"]
+    assert (alone / "trajectory.csv").read_bytes() == want
+
+
+def test_trajectory_and_surface_match_csv_writer(tmp_path):
+    tree = _selftest_tree()
+    assert max(tree.branch_counts()) > 1
+    rows = trajectory_rows(tree)
+    assert iter(rows) is rows and not isinstance(rows, list)  # lazy
+    assert next(rows)[:4] == [0.0, "0", "", "init"]
+    _check_tables(tmp_path, tree)
+
+
+def test_surface_follows_parent_links(tmp_path):
+    # Leaf 0 descends from row 1 of level 1, and row 0 of level 1 differs from
+    # it in every node: a surface that takes row 0 of each level fails here.
+    def level(states, parent, segment, flux):
+        return StepLevel(np.array(states), np.array(parent), np.array(segment), np.array(flux))
+
+    tree = SolutionTree(
+        mesh=Mesh1D.uniform(3), config=RotheConfig(tau=0.1, num_steps=2), policy="all",
+        tags=["a0", "v1", "a2"],
+        levels=[
+            level([[2.0, 1 / 3, -0.0]], [-1], [-1], [np.nan]),
+            level([[0.1, 0.2, 0.30000000000000004], [1e-05, 5e-324, -2.5e-300]],
+                  [0, 0], [0, 2], [-0.5, 1e16]),
+            level([[7.0, -1 / 7, 1e22], [0.7, 0.07, 0.007]], [1, 0], [1, 0], [3.0, 1 / 9]),
+        ],
+        branch_ids=[["0"], ["0.0", "0.2"], ["0.2.1", "0.0.0"]],
+    )
+    assert tree.path_rows(0) == [0, 1, 0]
+    assert tree.path_states(0)[1].tolist() == [1e-05, 5e-324, -2.5e-300]
+    _check_tables(tmp_path, tree)
+
+
+def test_cli_import_leaves_heavy_modules_out():
+    # setup_s of the benchmark times this import; a cold scipy.linalg alone costs ~0.7 s.
+    code = ("import sys, hvisolve.cli; hvisolve.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'hypothesis', 'pandas')))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_dump_matrices(tmp_path):

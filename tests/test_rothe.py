@@ -24,6 +24,7 @@ from hvisolve import rothe
 from hvisolve.nonsmooth import MEMBERSHIP_TOL
 from oracles import (
     check_tree,
+    exact_step,
     greedy_merge_indices,
     interpolant_gap,
     random_potential,
@@ -459,3 +460,49 @@ def test_interpolant_gap_identity():
     rhs = cfg.tau**2 / 3.0 * cfg.tau * sum(v * v for v in der)
     lhs = interpolant_gap(mesh, states, cfg.tau) ** 2
     assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def test_step_membership_matches_exact_rational_step():
+    # One step from each parent against the same step in exact arithmetic:
+    # the float step accepts the segments whose exact solution lies on them,
+    # except where the exact margin is within MEMBERSHIP_TOL of the row scale.
+    # First the j1 corner of test_corner_solution_reported_twice_and_merged_once
+    # (exactly, r lies 3e-17 past a1's end and the flux 2e-16 past v2's top),
+    # then every level of float trees over 20 random graphs.
+    c = 4.875 / 3.625
+    steps = [(Mesh1D(2, 0.5), clarke_subdifferential(potential_j1()), np.array([[c, c]]), 1 / 12)]
+    rng = np.random.default_rng(29)
+    for trial in range(20):
+        pot = random_potential(rng)
+        graph = clarke_subdifferential(pot)
+        mesh = Mesh1D.uniform(int(rng.integers(2, 9)))
+        tau = float(rng.uniform(0.02, 0.2))
+        c0 = float(rng.choice(pot.breakpoints) + rng.uniform(-0.3, 0.3))
+        c1 = float(rng.uniform(-0.5, 0.5))
+        tree = run(RotheConfig(tau=tau, num_steps=3, max_branches=8), mesh, graph,
+                   lambda x: c0 + c1 * x)
+        steps.extend((mesh, graph, level.states, tau) for level in tree.levels)
+    accepted, tolerated, rows = {}, 0, 0
+    for mesh, graph, parents, tau in steps:
+        step = rothe_step_all(mesh, graph, parents, tau)
+        for row, prev in enumerate(parents.tolist()):
+            g, e0, cases = exact_step(mesh.n, graph, prev, tau)
+            mine = step.parent == row
+            got = dict(zip(step.segment[mine].tolist(),
+                           zip(step.states[mine, -1].tolist(), step.flux[mine].tolist())))
+            for idx, case in enumerate(cases):
+                assert case is not None  # g dwarfs every slope here
+                r, flux, margin = case
+                scale = max(1, *map(abs, prev), abs(e0), abs(g * r), abs(r), abs(flux))
+                if (margin >= 0) != (idx in got):
+                    assert abs(margin) <= MEMBERSHIP_TOL * scale, (mesh, prev, tau, idx, margin)
+                    tolerated += 1
+                if idx in got:
+                    kind = type(graph.segments[idx]).__name__
+                    accepted[kind] = accepted.get(kind, 0) + 1
+                    r_got, flux_got = got[idx]
+                    assert abs(r_got - float(r)) <= 1e-12 * float(scale)
+                    assert abs(flux_got - float(flux)) <= 1e-12 * float(scale)
+            rows += 1
+    assert rows >= 60 and tolerated == 2
+    assert len(accepted) == 2 and min(accepted.values()) >= 3, accepted
