@@ -11,8 +11,12 @@ import ast
 import math
 import operator
 import os
+import shutil
 import sys
+import tempfile
+import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -238,8 +242,7 @@ def parse_u0(text):
 
 
 def output_dir(cfg):
-    out = os.environ.get("HVI_OUT") or cfg.out
-    path = Path(out)
+    path = Path(os.environ.get("HVI_OUT") or cfg.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -259,8 +262,33 @@ def write_csv(path, header, rows):
         fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
-def trajectory_header(n):
-    return TRAJECTORY_HEADER + ["alpha_%d" % i for i in range(1, n + 1)] + ["xi"]
+# Fork for a back half of this many floats: fork + waitpid of a 36 MB process took
+# 3.9 ms (median, 2 vCPUs) and a float's repr ~0.9 us, so the break-even is ~4.4k values.
+FORK_MIN_VALUES = 20_000
+
+
+def _fork_level(counts, n):
+    """First level of the back half a forked child should write, or None."""
+    total = sum(counts)
+    k = next(k for k, front in enumerate(accumulate(counts, initial=0)) if 2 * front >= total)
+    back = sum(counts[k:]) * (n + 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    fork = hasattr(os, "fork") and (cpus or 1) >= 2 and back >= max(FORK_MIN_VALUES, 1)
+    return k if fork else None
+
+
+def _write_levels(fh, sf, tree, levels, on_path, xs):
+    """Rows of the tree's ``levels`` (a range) to ``fh``; the rows ``on_path`` to ``sf``."""
+    rows = trajectory_rows(tree, levels.start)
+    for k in levels:
+        for row, values in zip(range(len(tree.levels[k])), rows):
+            line = ",".join(map(str, values))
+            fh.write(line + "\n")
+            if row == on_path[k]:
+                fields = line.split(",")
+                sep = "," + fields[0] + ","
+                us = ["0.0", *fields[len(TRAJECTORY_HEADER):-1]]  # alpha_1..alpha_n
+                sf.write("\n".join(map(sep.join, zip(xs, us))) + "\n")
 
 
 def write_trajectory(path, tree, surface=None):
@@ -269,35 +297,57 @@ def write_trajectory(path, tree, surface=None):
     With ``surface``, the x, t, u table of the path ``tree.path_states(0)``
     follows goes there in the same pass, the Dirichlet end first at each
     level.  Each level's surface lines are built from the text of its path
-    row, so every value on the path is formatted once.
+    row, so every value on the path is formatted once.  A forked child may
+    write the back levels (see _fork_level); the bytes are the same.
     """
     n = tree.mesh.n
-    dx = float(tree.mesh.dx)
-    xs = ["0.0"] + [str(i * dx) for i in range(1, n + 1)]
+    xs = ["0.0"] + [str(i * float(tree.mesh.dx)) for i in range(1, n + 1)]
+    header = TRAJECTORY_HEADER + ["alpha_%d" % i for i in range(1, n + 1)] + ["xi"]
     on_path = tree.path_rows(0) if surface is not None else [-1] * tree.num_levels
-    rows = trajectory_rows(tree)
+    split = _fork_level(tree.branch_counts(), n)
     # Without a surface its header goes to the null device, and no row is on the path.
     with open(path, "w", newline="") as fh, open(surface or os.devnull, "w", newline="") as sf:
-        fh.write(",".join(trajectory_header(n)) + "\n")
+        fh.write(",".join(header) + "\n")
         sf.write("x,t,u\n")
-        for count, path_row in zip(tree.branch_counts(), on_path):
-            for row, values in zip(range(count), rows):
-                line = ",".join(map(str, values))
-                fh.write(line + "\n")
-                if row == path_row:
-                    fields = line.split(",")
-                    sep = "," + fields[0] + ","
-                    us = ["0.0", *fields[len(TRAJECTORY_HEADER):-1]]  # alpha_1..alpha_n
-                    sf.write("\n".join(map(sep.join, zip(xs, us))) + "\n")
+        if split is None:
+            return _write_levels(fh, sf, tree, range(tree.num_levels), on_path, xs)
+        with tempfile.TemporaryFile("w+", newline="", dir=Path(path).parent) as tf, \
+                tempfile.TemporaryFile("w+", newline="", dir=Path(path).parent) as tsf:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on a fork with threads alive (OpenBLAS's):
+                # a lock they hold could hang a child, but this child only writes text.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # leaves by os._exit, never flushing or closing fh and sf
+                code = 1
+                try:
+                    _write_levels(tf, tsf, tree, range(split, tree.num_levels), on_path, xs)
+                    tf.flush()
+                    tsf.flush()
+                    code = 0
+                except BaseException:
+                    sys.excepthook(*sys.exc_info())
+                finally:
+                    os._exit(code)
+            try:
+                _write_levels(fh, sf, tree, range(split), on_path, xs)
+            except BaseException:
+                os.kill(pid, 9)  # SIGKILL; cli does not import the signal module
+                raise
+            finally:
+                status = os.waitpid(pid, 0)[1]
+            if status:
+                raise OSError("the child writing %s ended with wait status %d" % (path, status))
+            for dst, src in ((fh, tf), (sf, tsf)):
+                dst.flush()
+                src.buffer.seek(0)
+                shutil.copyfileobj(src.buffer, dst.buffer)
 
 
 def write_matrices(outdir, mesh):
     for name, sys_ in (("mass", assemble_mass(mesh)), ("stiffness", assemble_stiffness(mesh))):
-        rows = []
-        for i in range(sys_.size):
-            lo, dg, up = sys_.row(i)
-            rows.append([i + 1, "" if lo is None else float(lo), float(dg),
-                         "" if up is None else float(up)])
+        rows = ([i, "" if lo is None else float(lo), float(dg), "" if up is None else float(up)]
+                for i, (lo, dg, up) in enumerate(map(sys_.row, range(sys_.size)), start=1))
         write_csv(outdir / ("%s.csv" % name), ["i", "lower", "diag", "upper"], rows)
 
 
@@ -313,10 +363,6 @@ set hidden3d
 splot "surface.csv" using 1:2:3 every ::1 with lines
 pause -1 "surface of u(x,t); press enter"
 """
-
-
-def write_plot_script(path):
-    Path(path).write_text(PLOT_SCRIPT)
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +383,18 @@ def cmd_run(args):
     if not np.isfinite(report.csv_row()).all():
         raise FloatingPointError("non-finite norm in %r" % (report,))
     write_trajectory(outdir / "trajectory.csv", tree, surface=outdir / "surface.csv")
-    write_plot_script(outdir / "plot.gp")
+    (outdir / "plot.gp").write_text(PLOT_SCRIPT)
     write_csv(outdir / "norms.csv", NormReport.CSV_HEADER, [report.csv_row()])
+    written = ["trajectory.csv", "surface.csv", "norms.csv", "plot.gp"]
     if args.dump_matrices:
         write_matrices(outdir, tree.mesh)
+        written += ["mass.csv", "stiffness.csv"]
     counts = tree.branch_counts()
-    multiple = any(c > 1 for c in counts)
     print("steps: %d   max branches per step: %d" % (tree.config.num_steps, max(counts)))
-    print("multiple solutions detected: %s" % ("yes" if multiple else "no"))
+    print("multiple solutions detected: %s" % ("yes" if max(counts) > 1 else "no"))
     if tree.truncated:
         print("branch tree truncated at max_branches=%d" % cfg.max_branches)
-    print("wrote %s" % ", ".join(["trajectory.csv", "surface.csv", "norms.csv", "plot.gp"]))
+    print("wrote %s" % ", ".join(written))
     return 0
 
 
@@ -361,10 +408,7 @@ def cmd_branches(args):
     write_trajectory(outdir / "trajectory_max.csv", tree_max)
     lo = tree_min.boundary_values()
     hi = tree_max.boundary_values()
-    rows = [
-        [k * cfg.dt, float(a), float(b), float(b - a)]
-        for k, (a, b) in enumerate(zip(lo, hi))
-    ]
+    rows = [[k * cfg.dt, float(a), float(b), float(b - a)] for k, (a, b) in enumerate(zip(lo, hi))]
     write_csv(outdir / "spread.csv", ["t", "alpha_min", "alpha_max", "spread"], rows)
     spread = float(np.max(hi - lo))
     print("max boundary spread between extreme branches: %r" % spread)

@@ -432,15 +432,16 @@ def run(config, mesh, graph, u0, f=None, branch_policy="all"):
 TRAJECTORY_HEADER = ["t", "branch_id", "parent_id", "case_tag"]
 
 
-def trajectory_rows(tree):
-    """Rows of the branch-trajectory table, one per branch per level, yielded
-    lazily so that the whole table is never held at once.
+def trajectory_rows(tree, start=0):
+    """Rows of the branch-trajectory table from level ``start`` on, one per
+    branch per level, yielded lazily: the whole table is never held at once.
 
     Columns: t, branch_id, parent_id, case_tag, alpha_1..alpha_n, xi.  The
     root row has case tag ``init`` and empty parent and flux fields.
     """
-    yield [0.0, tree.branch_ids[0][0], "", "init", *tree.levels[0].states[0].tolist(), ""]
-    for k in range(1, tree.num_levels):
+    if start == 0:
+        yield [0.0, tree.branch_ids[0][0], "", "init", *tree.levels[0].states[0].tolist(), ""]
+    for k in range(max(start, 1), tree.num_levels):
         level, parent_ids = tree.levels[k], tree.branch_ids[k - 1]
         t = k * tree.config.tau
         for bid, state, parent, seg, flux in zip(

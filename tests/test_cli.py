@@ -13,9 +13,11 @@ from hvisolve import (
     SolutionTree,
     clarke_subdifferential,
     potential_j1,
+    potential_j2,
     run,
     trajectory_rows,
 )
+from hvisolve import cli
 from hvisolve.cli import (
     ConfigError,
     build_parser,
@@ -369,22 +371,56 @@ def _want_tables(tree):
     return trajectory, surface
 
 
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _forcing_forks(mp, forked):
+    """Set write_trajectory, on two CPUs, to fork always (FORK_MIN_VALUES 0) or
+    never (huge); return the list its forks are recorded in."""
+    mp.setattr(cli, "FORK_MIN_VALUES", 0 if forked else 10**18)
+    mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    mp.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def _forced_split(tree):
+    with pytest.MonkeyPatch.context() as mp:
+        _forcing_forks(mp, True)
+        return cli._fork_level(tree.branch_counts(), tree.mesh.n)
+
+
 def _check_tables(tmp_path, tree):
-    """write_trajectory with and without a surface against the csv.writer oracle."""
+    """write_trajectory with and without a surface against the csv.writer oracle,
+    forked and in one process, leaving no child process and no temporary file."""
     want_trajectory, want_surface = _want_tables(tree)
     header = (["t", "branch_id", "parent_id", "case_tag"]
               + ["alpha_%d" % i for i in range(1, tree.mesh.n + 1)] + ["xi"])
     want = _csv_writer_bytes(tmp_path / "want_trajectory.csv", header, want_trajectory)
-    write_trajectory(tmp_path / "trajectory.csv", tree, surface=tmp_path / "surface.csv")
-    assert (tmp_path / "trajectory.csv").read_bytes() == want
-    assert ((tmp_path / "surface.csv").read_bytes()
-            == _csv_writer_bytes(tmp_path / "want_surface.csv", ["x", "t", "u"], want_surface))
-
-    alone = tmp_path / "alone"
-    alone.mkdir()
-    write_trajectory(alone / "trajectory.csv", tree)
-    assert os.listdir(alone) == ["trajectory.csv"]
-    assert (alone / "trajectory.csv").read_bytes() == want
+    want_surface = _csv_writer_bytes(tmp_path / "want_surface.csv", ["x", "t", "u"], want_surface)
+    for forked in (True, False):
+        out = tmp_path / ("forked" if forked else "one-process")
+        alone = out / "alone"
+        alone.mkdir(parents=True)
+        with pytest.MonkeyPatch.context() as mp:
+            forks = _forcing_forks(mp, forked)
+            write_trajectory(out / "trajectory.csv", tree, surface=out / "surface.csv")
+            _assert_no_child()
+            write_trajectory(alone / "trajectory.csv", tree)
+            _assert_no_child()
+        assert forks == [os.getpid()] * (2 if forked else 0)
+        assert sorted(os.listdir(out)) == ["alone", "surface.csv", "trajectory.csv"]
+        assert (out / "trajectory.csv").read_bytes() == want
+        assert (out / "surface.csv").read_bytes() == want_surface
+        assert os.listdir(alone) == ["trajectory.csv"]
+        assert (alone / "trajectory.csv").read_bytes() == want
 
 
 def test_trajectory_and_surface_match_csv_writer(tmp_path):
@@ -393,7 +429,53 @@ def test_trajectory_and_surface_match_csv_writer(tmp_path):
     rows = trajectory_rows(tree)
     assert iter(rows) is rows and not isinstance(rows, list)  # lazy
     assert next(rows)[:4] == [0.0, "0", "", "init"]
+    # counts 1, 1, 1, 1, 3, 5, 5: the back half is the last level alone
+    assert _forced_split(tree) == 6
     _check_tables(tmp_path, tree)
+
+
+def test_trajectory_of_a_chain_splits_mid_path(tmp_path):
+    # one branch per level: the child writes the last 5 of 11 levels, each a path row
+    tree = run(RotheConfig.from_step(0.02, 0.2), Mesh1D.uniform(6),
+               clarke_subdifferential(potential_j2()), lambda x: 2.0)
+    assert tree.branch_counts() == [1] * 11
+    assert list(trajectory_rows(tree, 6)) == list(trajectory_rows(tree))[6:]
+    assert _forced_split(tree) == 6
+    _check_tables(tmp_path, tree)
+
+
+def test_fork_level_rule(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # j2-preset: 101 single-branch levels of 101 values; 50 rows behind, 5050 values
+    assert cli._fork_level([1] * 101, 100) is None
+    assert cli._fork_level([1] * 400, 100) == 200  # 200 rows behind: 20200 values
+    assert cli._fork_level([1, 2, 2], 3) is None
+    monkeypatch.setattr(cli, "FORK_MIN_VALUES", 0)
+    assert cli._fork_level([1, 2, 2], 3) == 2
+    assert cli._fork_level([1], 3) is None  # nothing behind the root
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._fork_level([1, 2, 2], 3) is None  # one CPU: never fork
+
+
+@pytest.mark.parametrize("side", ["child", "parent"])
+def test_failed_trajectory_writer_is_io_error(tmp_path, capsys, monkeypatch, side):
+    monkeypatch.setattr(cli, "FORK_MIN_VALUES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pid, write_levels = os.getpid(), cli._write_levels
+
+    def failing(*args):
+        if (os.getpid() == pid) == (side == "parent"):
+            raise OSError("%s formatting failed" % side)
+        return write_levels(*args)
+
+    monkeypatch.setattr(cli, "_write_levels", failing)
+    out = tmp_path / "o"
+    assert _run_cli("run", *J2_SMALL, "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ")
+    assert ("parent formatting failed" if side == "parent" else "the child writing") in err
+    _assert_no_child()
+    assert sorted(os.listdir(out)) == ["surface.csv", "trajectory.csv"]
 
 
 def test_surface_follows_parent_links(tmp_path):
@@ -415,14 +497,17 @@ def test_surface_follows_parent_links(tmp_path):
     )
     assert tree.path_rows(0) == [0, 1, 0]
     assert tree.path_states(0)[1].tolist() == [1e-05, 5e-324, -2.5e-300]
+    assert _forced_split(tree) == 2  # the back half is the last level alone
     _check_tables(tmp_path, tree)
 
 
 def test_cli_import_leaves_heavy_modules_out():
     # setup_s of the benchmark times this import; a cold scipy.linalg alone costs ~0.7 s.
+    # The trajectory writer forks by itself: no process pool is imported for it.
     code = ("import sys, hvisolve.cli; hvisolve.cli.build_parser(); "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'hypothesis', 'pandas')))")
+            "if m.split('.')[0] in "
+            "('scipy', 'hypothesis', 'pandas', 'multiprocessing', 'concurrent')))")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -432,9 +517,11 @@ def test_cli_import_leaves_heavy_modules_out():
     assert proc.stdout == "[]\n"
 
 
-def test_dump_matrices(tmp_path):
+def test_dump_matrices(tmp_path, capsys):
     out = tmp_path / "o"
     assert _run_cli("run", *J2_SMALL, "--out", str(out), "--dump-matrices") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "wrote trajectory.csv, surface.csv, norms.csv, plot.gp, mass.csv, stiffness.csv")
     header, rows = _read_csv(out / "mass.csv")
     assert header == ["i", "lower", "diag", "upper"]
     assert len(rows) == 20
