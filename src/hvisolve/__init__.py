@@ -24,7 +24,6 @@ from .fem1d import (
     TridiagonalSystem,
     assemble_mass,
     assemble_stiffness,
-    factor_ldl,
     factor_tridiagonal,
     solve_tridiagonal,
 )

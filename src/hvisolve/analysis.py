@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem1d import assemble_mass, assemble_stiffness, factor_ldl, solve_tridiagonal
+from .fem1d import (
+    TridiagonalSystem,
+    assemble_mass,
+    assemble_stiffness,
+    factor_tridiagonal,
+    solve_tridiagonal,
+)
 from .rothe import RotheConfig, run
 
 
@@ -51,8 +57,11 @@ class MeshNorms:
         self.mesh = mesh
         self.M = assemble_mass(mesh)
         self.MK = self.M + assemble_stiffness(mesh)
-        self.L, pivots = factor_ldl(self.MK)
-        self.sqrt_d = np.sqrt(pivots)
+        # On a symmetric matrix the Thomas multipliers are L's subdiagonal and the pivots
+        # D; a zero upper diagonal makes solve_tridiagonal(L, g) the sweep L^{-1} g.
+        f = factor_tridiagonal(self.MK)
+        self.L = TridiagonalSystem(np.array(f.mult), np.ones(mesh.n), np.zeros(mesh.n - 1))
+        self.sqrt_d = np.sqrt(f.pivots)
 
     def h(self, c):
         """L2 norm of the P1 function with nodal coefficients c, or of each stack row."""
@@ -325,9 +334,6 @@ class ConvergenceTable:
 
     def csv_rows(self):
         return [[r.tau, r.err_CH, r.err_L2V, r.branch_count] for r in self.rows]
-
-    def err_ch_values(self):
-        return [r.err_CH for r in self.rows]
 
 
 def convergence_study(problem, tau_list, reference_tau):

@@ -8,6 +8,7 @@ The environment variable HVI_OUT overrides the output directory.
 
 import argparse
 import ast
+import contextlib
 import math
 import operator
 import os
@@ -15,7 +16,7 @@ import shutil
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from pathlib import Path
 
@@ -56,32 +57,26 @@ PRESETS = {
     "paper-j2": {"potential": "j2", "nx": 100, "dt": 0.01, "T": 1.0, "u0": "const:2"},
 }
 
-DEFAULTS = {
-    "potential": None,
-    "breakpoints": "",
-    "pieces": "",
-    "nx": 100,
-    "dt": 0.01,
-    "T": 1.0,
-    "u0": "const:2",
-    "policy": "all",
-    "max_branches": 64,
-    "out": "hvi_out",
-}
-
 
 @dataclass
 class ExperimentConfig:
-    potential: str
-    breakpoints: str
-    pieces: str
-    nx: int
-    dt: float
-    T: float
-    u0: str
-    policy: str
-    max_branches: int
-    out: str
+    """Settings of run, branches and converge, one field each: the name is the
+    config key and, with - for _, the flag after --; the type casts a config
+    value, and the metadata holds the flag's help and choices."""
+
+    potential: str = field(default=None, metadata={"choices": ["j1", "j2", "custom"]})
+    breakpoints: str = field(default="",
+                             metadata={"help": "custom potential breakpoints r1,r2,..."})
+    pieces: str = field(default="", metadata={"help": "custom potential pieces c2:c1:c0;..."})
+    nx: int = field(default=100, metadata={"help": "number of free mesh nodes (dx = 1/nx)"})
+    dt: float = field(default=0.01, metadata={"help": "time step; must divide T"})
+    T: float = field(default=1.0, metadata={"help": "time horizon"})
+    u0: str = field(default="const:2",
+                    metadata={"help": "initial datum: const:VALUE or expr:EXPRESSION in x"})
+    policy: str = field(default="all", metadata={"choices": BRANCH_POLICIES})
+    max_branches: int = 64
+    out: str = field(default="hvi_out",
+                     metadata={"help": "output directory (HVI_OUT env var overrides)"})
 
     def __post_init__(self):
         if self.potential is None:
@@ -121,25 +116,23 @@ def read_kv_file(path):
     return out
 
 
-_CASTS = {"nx": int, "dt": float, "T": float, "max_branches": int}
-
-
 def merge_config(args):
     """defaults < config file < preset < explicit flags."""
-    merged = dict(DEFAULTS)
+    settings = {f.name: f for f in fields(ExperimentConfig)}
+    merged = {}
     if getattr(args, "config", None):
         for key, value in read_kv_file(args.config).items():
-            if key not in DEFAULTS:
+            if key not in settings:
                 raise ConfigError("unknown config key %r" % key)
             try:
-                merged[key] = _CASTS.get(key, str)(value)
+                merged[key] = settings[key].type(value)
             except ValueError as err:
                 raise ConfigError("bad value for %r: %s" % (key, err)) from err
     if getattr(args, "preset", None):
         if args.preset not in PRESETS:
             raise ConfigError("unknown preset %r" % args.preset)
         merged.update(PRESETS[args.preset])
-    for key in DEFAULTS:
+    for key in settings:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
@@ -147,6 +140,7 @@ def merge_config(args):
 
 
 def parse_potential(cfg):
+    """The subdifferential graph of the configured potential."""
     if cfg.potential == "j1":
         pot = potential_j1()
     elif cfg.potential == "j2":
@@ -165,7 +159,7 @@ def parse_potential(cfg):
             raise ConfigError("bad custom potential: %s" % err) from err
     else:
         raise ConfigError("potential must be j1, j2 or custom, got %r" % cfg.potential)
-    return pot, clarke_subdifferential(pot)
+    return clarke_subdifferential(pot)
 
 
 _EXPR_FUNCTIONS = {
@@ -298,50 +292,57 @@ def write_trajectory(path, tree, surface=None):
     follows goes there in the same pass, the Dirichlet end first at each
     level.  Each level's surface lines are built from the text of its path
     row, so every value on the path is formatted once.  A forked child may
-    write the back levels (see _fork_level); the bytes are the same.
+    write the back levels (see _fork_level); the bytes are the same.  If
+    writing fails, neither file is left behind.
     """
     n = tree.mesh.n
     xs = ["0.0"] + [str(i * float(tree.mesh.dx)) for i in range(1, n + 1)]
     header = TRAJECTORY_HEADER + ["alpha_%d" % i for i in range(1, n + 1)] + ["xi"]
     on_path = tree.path_rows(0) if surface is not None else [-1] * tree.num_levels
     split = _fork_level(tree.branch_counts(), n)
-    # Without a surface its header goes to the null device, and no row is on the path.
-    with open(path, "w", newline="") as fh, open(surface or os.devnull, "w", newline="") as sf:
-        fh.write(",".join(header) + "\n")
-        sf.write("x,t,u\n")
-        if split is None:
-            return _write_levels(fh, sf, tree, range(tree.num_levels), on_path, xs)
-        with tempfile.TemporaryFile("w+", newline="", dir=Path(path).parent) as tf, \
-                tempfile.TemporaryFile("w+", newline="", dir=Path(path).parent) as tsf:
-            with warnings.catch_warnings():
-                # Python 3.12+ warns on a fork with threads alive (OpenBLAS's):
-                # a lock they hold could hang a child, but this child only writes text.
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:  # leaves by os._exit, never flushing or closing fh and sf
-                code = 1
+    try:
+        # Without a surface its header goes to the null device, and no row is on the path.
+        with open(path, "w", newline="") as fh, open(surface or os.devnull, "w", newline="") as sf:
+            fh.write(",".join(header) + "\n")
+            sf.write("x,t,u\n")
+            if split is None:
+                return _write_levels(fh, sf, tree, range(tree.num_levels), on_path, xs)
+            with tempfile.TemporaryFile("w+", newline="", dir=Path(path).parent) as tf, \
+                    tempfile.TemporaryFile("w+", newline="", dir=Path(path).parent) as tsf:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns on a fork with threads alive (OpenBLAS's):
+                    # a lock they hold could hang a child, but this child only writes text.
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:  # leaves by os._exit, never flushing or closing fh and sf
+                    code = 1
+                    try:
+                        _write_levels(tf, tsf, tree, range(split, tree.num_levels), on_path, xs)
+                        tf.flush()
+                        tsf.flush()
+                        code = 0
+                    except BaseException:
+                        sys.excepthook(*sys.exc_info())
+                    finally:
+                        os._exit(code)
                 try:
-                    _write_levels(tf, tsf, tree, range(split, tree.num_levels), on_path, xs)
-                    tf.flush()
-                    tsf.flush()
-                    code = 0
+                    _write_levels(fh, sf, tree, range(split), on_path, xs)
                 except BaseException:
-                    sys.excepthook(*sys.exc_info())
+                    os.kill(pid, 9)  # SIGKILL; cli does not import the signal module
+                    raise
                 finally:
-                    os._exit(code)
-            try:
-                _write_levels(fh, sf, tree, range(split), on_path, xs)
-            except BaseException:
-                os.kill(pid, 9)  # SIGKILL; cli does not import the signal module
-                raise
-            finally:
-                status = os.waitpid(pid, 0)[1]
-            if status:
-                raise OSError("the child writing %s ended with wait status %d" % (path, status))
-            for dst, src in ((fh, tf), (sf, tsf)):
-                dst.flush()
-                src.buffer.seek(0)
-                shutil.copyfileobj(src.buffer, dst.buffer)
+                    status = os.waitpid(pid, 0)[1]
+                if status:
+                    raise OSError("the child writing %s ended with wait status %d" % (path, status))
+                for dst, src in ((fh, tf), (sf, tsf)):
+                    dst.flush()
+                    src.buffer.seek(0)
+                    shutil.copyfileobj(src.buffer, dst.buffer)
+    except BaseException:
+        for name in filter(None, (path, surface)):  # leave no partial table behind
+            with contextlib.suppress(OSError):
+                os.unlink(name)
+        raise
 
 
 def write_matrices(outdir, mesh):
@@ -369,7 +370,7 @@ pause -1 "surface of u(x,t); press enter"
 # subcommands
 
 def _solve(cfg, grid, policy):
-    _, graph = parse_potential(cfg)
+    graph = parse_potential(cfg)
     u0 = parse_u0(cfg.u0)
     return run(grid, cfg.mesh(), graph, u0, f=None, branch_policy=policy).require_solved()
 
@@ -424,7 +425,7 @@ def cmd_converge(args):
         reference = float(args.reference_tau)
     except ValueError as err:
         raise ConfigError("bad tau list: %s" % err) from err
-    _, graph = parse_potential(cfg)
+    graph = parse_potential(cfg)
     problem = StudyProblem(
         mesh=cfg.mesh(), graph=graph, u0=parse_u0(cfg.u0),
         policy=cfg.policy if cfg.policy != "all" else "first",
@@ -446,24 +447,19 @@ def cmd_converge(args):
     return 0
 
 
-_CONSTANT_KEYS = {"alpha", "beta", "a", "b", "c", "iota_norm", "p_norm", "d", "sigma",
-                  "m1", "m2", "m3"}
-
-
 def cmd_check(args):
+    keys = {f.name for f in fields(AbstractConstants)} - {"d_sigma"} | {"d", "sigma"}
     values = {}
     for key, val in read_kv_file(args.constants).items():
-        if key not in _CONSTANT_KEYS:
+        if key not in keys:
             raise ConfigError("unknown constant %r" % key)
         try:
             values[key] = float(val)
         except ValueError as err:
             raise ConfigError("bad value for %r: %s" % (key, err)) from err
-    d_sigma = None
-    if "d" in values or "sigma" in values:
-        if not ("d" in values and "sigma" in values):
-            raise ConfigError("d and sigma must be given together")
-        d_sigma = (values.pop("d"), values.pop("sigma"))
+    if ("d" in values) != ("sigma" in values):
+        raise ConfigError("d and sigma must be given together")
+    d_sigma = (values.pop("d"), values.pop("sigma")) if "d" in values else None
     try:
         constants = AbstractConstants(d_sigma=d_sigma, **values)
     except (TypeError, ValueError) as err:
@@ -479,16 +475,8 @@ def cmd_check(args):
 def _add_experiment_flags(p):
     p.add_argument("--preset", choices=sorted(PRESETS), help="pin the bundled reference settings")
     p.add_argument("--config", help="key=value config file (flags win)")
-    p.add_argument("--potential", choices=["j1", "j2", "custom"])
-    p.add_argument("--breakpoints", help="custom potential breakpoints r1,r2,...")
-    p.add_argument("--pieces", help="custom potential pieces c2:c1:c0;...")
-    p.add_argument("--nx", type=int, help="number of free mesh nodes (dx = 1/nx)")
-    p.add_argument("--dt", type=float, help="time step; must divide T")
-    p.add_argument("--T", type=float, help="time horizon")
-    p.add_argument("--u0", help="initial datum: const:VALUE or expr:EXPRESSION in x")
-    p.add_argument("--policy", choices=BRANCH_POLICIES)
-    p.add_argument("--max-branches", type=int, dest="max_branches")
-    p.add_argument("--out", help="output directory (HVI_OUT env var overrides)")
+    for f in fields(ExperimentConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=f.type, **f.metadata)
 
 
 def build_parser():

@@ -190,19 +190,3 @@ def solve_tridiagonal(sys, rhs):
     """
     return factor_tridiagonal(sys).solve(rhs)
 
-
-def factor_ldl(sys):
-    """Symmetric tridiagonal A = L D L^T with L unit lower bidiagonal.
-
-    Returns L as a TridiagonalSystem with a zero upper diagonal, so that
-    ``solve_tridiagonal(L, b)`` is the forward sweep L^{-1} b, and the pivots
-    D as a vector.  Raises SingularSystemError on |pivot| < 1e-14.  On a
-    symmetric matrix these are the Thomas pivots, and L's subdiagonal is the
-    Thomas multipliers.
-    """
-    if not np.array_equal(sys.lower, sys.upper):
-        raise ValueError("LDL^T factorization needs a symmetric matrix")
-    factor = factor_tridiagonal(sys)
-    n = sys.size
-    low = TridiagonalSystem(np.array(factor.mult), np.ones(n), np.zeros(n - 1))
-    return low, np.array(factor.pivots)

@@ -231,7 +231,7 @@ def test_criterion_08_convergence_trend():
             problem = StudyProblem(mesh=mesh, graph=graph, u0=lambda x: 2.0,
                                    policy="first", horizon=1.0)
             table = convergence_study(problem, [0.04, 0.02, 0.01], 0.0025)
-            errs = table.err_ch_values()
+            errs = [r.err_CH for r in table.rows]
             assert errs[0] > errs[1] > errs[2] > 0
 
         # closed-form check on the linear path with a boundary-compatible

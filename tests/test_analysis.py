@@ -238,7 +238,7 @@ def test_convergence_pure_heat_errors_shrink():
     mesh = Mesh1D.uniform(20)
     problem = StudyProblem(mesh=mesh, graph=zero_flux_graph(), u0=lambda x: 2.0, horizon=0.4)
     table = convergence_study(problem, [0.04, 0.02, 0.01], 0.0025)
-    errs = table.err_ch_values()
+    errs = [r.err_CH for r in table.rows]
     assert errs[0] > errs[1] > errs[2] > 0
     assert table.rows[0].tau > table.rows[1].tau > table.rows[2].tau
     assert not table.branch_mismatch

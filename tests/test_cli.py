@@ -1,7 +1,9 @@
+import argparse
 import csv
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +275,52 @@ def test_config_file_with_flag_precedence(tmp_path):
         merge_config(build_parser().parse_args(["run", "--config", str(f)]))
 
 
+@pytest.mark.parametrize("command, own_flags", [
+    ("run", ["dump_matrices"]), ("branches", []), ("converge", ["taus", "reference_tau"]),
+])
+def test_experiment_flags_are_the_config_fields(command, own_flags):
+    names = [f.name for f in fields(cli.ExperimentConfig)]
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    actions = subparsers.choices[command]._actions
+    assert [a.dest for a in actions] == ["help", "preset", "config", *names, *own_flags]
+    flags = [a.option_strings for a in actions[3:3 + len(names)]]
+    assert flags == [["--" + name.replace("_", "-")] for name in names]
+    assert set().union(*cli.PRESETS.values()) <= set(names)
+
+
+def test_unset_flags_leave_the_field_defaults():
+    cfg = merge_config(build_parser().parse_args(["run", "--potential", "j2"]))
+    assert cfg == cli.ExperimentConfig(potential="j2")
+    assert (cfg.breakpoints, cfg.pieces, cfg.nx, cfg.dt, cfg.T, cfg.u0, cfg.policy,
+            cfg.max_branches, cfg.out) == ("", "", 100, 0.01, 1.0, "const:2", "all", 64, "hvi_out")
+
+
+def test_config_file_values_take_their_field_types(tmp_path):
+    f = tmp_path / "cfg.txt"
+    f.write_text("potential = j1\nnx = 20\ndt = 0.05\nT = 1\nmax_branches = 8\n")
+    cfg = merge_config(build_parser().parse_args(["run", "--config", str(f)]))
+    assert [(type(v), v) for v in (cfg.nx, cfg.dt, cfg.T, cfg.max_branches)] == [
+        (int, 20), (float, 0.05), (float, 1.0), (int, 8)]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("nx = abc", "bad value for 'nx': invalid literal for int() with base 10: 'abc'"),
+    ("max_branches = 1.5",
+     "bad value for 'max_branches': invalid literal for int() with base 10: '1.5'"),
+    ("T = x", "bad value for 'T': could not convert string to float: 'x'"),
+    ("foo = 1", "unknown config key 'foo'"),
+    ("max-branches = 3", "unknown config key 'max-branches'"),
+    ("preset = paper-j1", "unknown config key 'preset'"),
+    ("nx", "malformed config line: 'nx'"),
+])
+def test_config_file_error_messages(tmp_path, capsys, text, message):
+    f = tmp_path / "cfg.txt"
+    f.write_text("potential = j2\n" + text + "\n")
+    assert _run_cli("run", "--config", str(f), "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == "config error: %s\n" % message
+
+
 def test_u0_expression(tmp_path):
     out = tmp_path / "o"
     code = _run_cli("run", "--potential", "j2", "--nx", "10", "--dt", "0.05",
@@ -475,7 +523,7 @@ def test_failed_trajectory_writer_is_io_error(tmp_path, capsys, monkeypatch, sid
     assert err.startswith("i/o error: ")
     assert ("parent formatting failed" if side == "parent" else "the child writing") in err
     _assert_no_child()
-    assert sorted(os.listdir(out)) == ["surface.csv", "trajectory.csv"]
+    assert os.listdir(out) == []  # no partial trajectory or surface file
 
 
 def test_surface_follows_parent_links(tmp_path):
@@ -565,3 +613,19 @@ def test_check_rejects_bad_constants(tmp_path, capsys, line):
     constants.write_text("alpha = 1.0\nc = 0.3\nbeta = 0.0\niota_norm = 1.0\n" + line + "\n")
     assert _run_cli("check", "--constants", str(constants)) == 1
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["d_sigma = 1", "foo = 1"])
+def test_check_rejects_unknown_constants(tmp_path, capsys, line):
+    constants = tmp_path / "c.txt"
+    constants.write_text("alpha = 1.0\nc = 0.3\nbeta = 0.0\niota_norm = 1.0\n" + line + "\n")
+    assert _run_cli("check", "--constants", str(constants)) == 1
+    assert capsys.readouterr().err == "config error: unknown constant %r\n" % line.split()[0]
+
+
+def test_check_accepts_every_constant(tmp_path, capsys):
+    constants = tmp_path / "c.txt"
+    constants.write_text("alpha = 1\nbeta = 0.5\nc = 0.3\niota_norm = 1\na = 0.1\nb = 2\n"
+                         "p_norm = 2\nd = 1\nsigma = 1.5\nm1 = 2\nm2 = 1\nm3 = 1\n")
+    assert _run_cli("check", "--constants", str(constants)) == 0
+    assert "H_const: holds" in capsys.readouterr().out

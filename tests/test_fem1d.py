@@ -10,7 +10,6 @@ from hvisolve import (
     TridiagonalSystem,
     assemble_mass,
     assemble_stiffness,
-    factor_ldl,
     factor_tridiagonal,
     solve_tridiagonal,
 )
@@ -173,18 +172,13 @@ def test_solve_rejects_mismatched_rhs():
 def test_ldl_factor_reconstructs_and_whitens():
     mesh = Mesh1D.uniform(9)
     mk = assemble_mass(mesh) + assemble_stiffness(mesh)
-    low, d = factor_ldl(mk)
-    l_dense = low.to_dense()
+    norms = MeshNorms(mesh)
+    l_dense, d = norms.L.to_dense(), norms.sqrt_d**2
+    assert np.array_equal(np.diag(l_dense), np.ones(mesh.n))
     assert np.allclose(l_dense @ np.diag(d) @ l_dense.T, mk.to_dense(), rtol=0, atol=1e-12)
     g = np.random.default_rng(4).uniform(-1, 1, (mesh.n, 3))
-    assert np.allclose(solve_tridiagonal(low, g), np.linalg.solve(l_dense, g), rtol=0, atol=1e-12)
-
-
-def test_ldl_factor_rejects_singular_and_nonsymmetric():
-    with pytest.raises(SingularSystemError):
-        factor_ldl(TridiagonalSystem(np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0])))
-    with pytest.raises(ValueError):
-        factor_ldl(TridiagonalSystem(np.array([1.0]), np.array([3.0, 3.0]), np.array([2.0])))
+    assert np.allclose(solve_tridiagonal(norms.L, g), np.linalg.solve(l_dense, g),
+                       rtol=0, atol=1e-12)
 
 
 def test_matvec_row_stack_matches_rows():
