@@ -65,9 +65,12 @@ class ExperimentConfig:
     value, and the metadata holds the flag's help and choices."""
 
     potential: str = field(default=None, metadata={"choices": ["j1", "j2", "custom"]})
-    breakpoints: str = field(default="",
-                             metadata={"help": "custom potential breakpoints r1,r2,..."})
-    pieces: str = field(default="", metadata={"help": "custom potential pieces c2:c1:c0;..."})
+    breakpoints: str = field(default="", metadata={
+        "help": "custom potential breakpoints r1,r2,...; a value starting with - needs "
+                "the = form, --breakpoints=-1,2"})
+    pieces: str = field(default="", metadata={
+        "help": "custom potential pieces c2:c1:c0;...; a value starting with - needs "
+                "the = form, --pieces=-1.9375:7.25:0"})
     nx: int = field(default=100, metadata={"help": "number of free mesh nodes (dx = 1/nx)"})
     dt: float = field(default=0.01, metadata={"help": "time step; must divide T"})
     T: float = field(default=1.0, metadata={"help": "time horizon"})

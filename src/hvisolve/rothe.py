@@ -12,17 +12,19 @@ interior response w and the Thomas factor of the interior matrix depend only
 on (mesh, tau) and are built once.
 
 A step takes a whole level of the branch tree at once, its m parents as an
-(m, n) stack.  One mass matvec gives the m right-hand sides and one
-substitution on the factor gives every y and e0: a lone parent goes through
-it as Python floats, a stack of them as one sweep over the rows of the
-(n-1, m) block.  Both do the same arithmetic per column, so a child's bits
-never depend on which other parents share its level.
+(m, n) stack.  One mass matvec gives the m right-hand sides.  One segment
+table, built per call, holds a tuple (vertical, r0, slope, intercept, shift,
+scale, lo, hi) per graph segment, and every parent is tested against it as
+lo <= (e0 - shift)/scale <= hi: an affine segment gives
+r = (e0 - intercept)/(g + slope), checked against its interval; a vertical
+segment at r0 checks e0 - g*r0 against its flux interval.  A lone parent
+goes through the Thomas substitution and the table as Python floats, a
+stack through one sweep over the rows of the (n-1, m) block and one (m, S)
+array test.  Both do the same arithmetic per value, so a child's bits never
+depend on which other parents share its level.
 
-Every graph segment is then intersected with the m lines xi = e0 - g*r by
-one array test: an affine segment gives r = (e0 - intercept)/(g + slope),
-checked against its interval; a vertical segment at r0 checks e0 - g*r0
-against its flux interval.  A segment parallel to the lines has no solution
-or a continuum of them; both are reported, never skipped silently.
+A segment parallel to the lines xi = e0 - g*r has no solution or a
+continuum of them; both are reported, never skipped silently.
 Otherwise each segment holds at most one solution per parent, so trying
 every segment recovers the complete solution set.  A solution at a corner
 of the graph, where two segments meet, is reported by both; ``run`` merges
@@ -56,12 +58,13 @@ log = logging.getLogger(__name__)
 
 PARALLEL_RTOL = 1e-12  # |g + slope| <= PARALLEL_RTOL*g: segment parallel to the Schur line
 DEDUPE_TOL = 1e-10  # max-norm distance below which two states of a level are merged
+QUOTED_FAILURES = 3  # step failures of the dying level quoted by SolutionTree.require_solved
 
 BRANCH_POLICIES = ("all", "min_boundary", "max_boundary", "first")
 
 
 class NoSolutionError(RuntimeError):
-    """Raised when a step admits no solution on any graph segment."""
+    """Raised when no branch of a level has an isolated solution on any graph segment."""
 
 
 def _require_positive_finite(name, value):
@@ -188,12 +191,20 @@ class SolutionTree:
         return np.array([s[-1] for s in self.path_states(leaf_index)])
 
     def require_solved(self):
-        """This tree; NoSolutionError if it died early, FloatingPointError on a non-finite state."""
+        """This tree; NoSolutionError if it died early, quoting the step failures
+        of the dying level; FloatingPointError on a non-finite state."""
         if not self.completed():
-            raise NoSolutionError(
-                "no solution on any segment at step %r of tau=%r (%d step failures recorded)"
-                % (self.no_solution_level, self.config.tau, len(self.step_failures))
-            )
+            level = self.no_solution_level
+            quoted = ["branch %s, %s: %s" % (bid, tag, msg)
+                      for k, bid, tag, msg in self.step_failures if k == level]
+            msg = "%s at step %r of tau=%r (%d step failure%s at that step)" % (
+                "no isolated solution" if quoted else "no solution on any segment",
+                level, self.config.tau, len(quoted), "" if len(quoted) == 1 else "s")
+            if quoted:
+                more = len(quoted) - QUOTED_FAILURES
+                msg += ": " + "; ".join(quoted[:QUOTED_FAILURES]) + (
+                    "; and %d more" % more if more > 0 else "")
+            raise NoSolutionError(msg)
         if not all(np.isfinite(level.states).all() for level in self.levels):
             raise FloatingPointError("non-finite state in the solution tree")
         return self
@@ -241,12 +252,6 @@ class _SchurOperator:
     w: np.ndarray
     g: float
 
-    def solve_interior(self, block):
-        """interior^{-1} applied to each row of an (m, n-1) block."""
-        if len(block) == 1:  # a float sweep beats numpy calls on length-1 rows
-            return self.interior.solve(block[0])[None, :]
-        return self.interior.solve(block.T).T
-
 
 @functools.lru_cache(maxsize=16)
 def _schur_operator(n, dx, tau):
@@ -281,6 +286,58 @@ def segment_tags(graph):
             for i, seg in enumerate(graph.segments)]
 
 
+def _segment_table(graph, g):
+    """One column tuple (vertical, r0, slope, intercept, shift, scale, lo, hi)
+    per graph segment, tested as lo <= (e0 - shift)/scale <= hi with each
+    closed interval widened by MEMBERSHIP_TOL, and the indices of the
+    segments parallel to the Schur line, whose interval is empty."""
+    tol = MEMBERSHIP_TOL
+    table, parallel = [], []
+    for idx, seg in enumerate(graph.segments):
+        if isinstance(seg, VerticalSegment):
+            table.append((True, seg.r, 0.0, 0.0, g * seg.r, 1.0, seg.xi_lo - tol, seg.xi_hi + tol))
+        elif abs(g + seg.slope) <= PARALLEL_RTOL * g:
+            parallel.append(idx)
+            table.append((False, 0.0, 0.0, 0.0, 0.0, 1.0, math.inf, -math.inf))
+        else:
+            table.append((False, 0.0, seg.slope, seg.intercept, seg.intercept, g + seg.slope,
+                          seg.r_lo - tol, seg.r_hi + tol))
+    return table, parallel
+
+
+def _step_lone(op, table, rhs):
+    """The step of a lone parent on Python floats, from its right-hand side
+    as a list: (y as a (1, n-1) array, [e0], rows, segments, r, flux)."""
+    last = rhs.pop()
+    y = op.interior._substitute(rhs)  # ThomasFactor.solve's float sweep, in place
+    e0 = last - op.coupling * y[-1]
+    segs, r, flux = [], [], []
+    for idx, (vertical, r0, slope, intercept, shift, scale, lo, hi) in enumerate(table):
+        t = (e0 - shift) / scale
+        if lo <= t <= hi:
+            segs.append(idx)
+            r.append(r0 if vertical else t)
+            flux.append(t if vertical else slope * t + intercept)
+    return (np.array([y]), [e0], np.zeros(len(segs), dtype=np.intp),
+            np.array(segs, dtype=np.intp), np.array(r, dtype=float), np.array(flux, dtype=float))
+
+
+def _step_stack(op, table, rhs):
+    """The step of an (m, n) stack of right-hand sides as one (m, S) array
+    test, with the float test's operations: the same tuple as _step_lone."""
+    y = op.interior.solve(rhs[:, :-1].T).T
+    e0 = rhs[:, -1] - op.coupling * y[:, -1]
+    vertical, r0, slope, intercept, shift, scale, lo, hi = np.array(table).T
+    vertical = vertical.astype(bool)
+    tested = (e0[:, None] - shift) / scale
+    rows, segs = np.nonzero((lo <= tested) & (tested <= hi))  # parent by parent, segments in order
+    tested = tested[rows, segs]
+    vertical = vertical[segs]
+    r = np.where(vertical, r0[segs], tested)
+    flux = np.where(vertical, tested, slope[segs] * tested + intercept[segs])
+    return y, e0.tolist(), rows, segs, r, flux
+
+
 def rothe_step_all(mesh, graph, parents, tau, f_k=None, failures=None):
     """All solutions of one backward-Euler step from each row of ``parents``.
 
@@ -302,47 +359,24 @@ def rothe_step_all(mesh, graph, parents, tau, f_k=None, failures=None):
     rhs /= tau
     if f_k is not None:
         rhs += np.asarray(f_k, dtype=float)
-    y = op.solve_interior(rhs[:, :-1])
-    e0 = rhs[:, -1] - op.coupling * y[:, -1]
-
-    # One (m, S) test for every parent and segment, with the scalar scheme's
-    # operations.  Each segment tests (e0 - shift)/scale against its closed
-    # interval widened by MEMBERSHIP_TOL: on an affine segment that is
-    # r = (e0 - intercept)/(g + slope), with flux slope*r + intercept; on a
-    # vertical one at r0 it is the flux e0 - g*r0 (scale 1).  A segment
-    # parallel to the Schur line gets an empty interval.
-    g, tol = op.g, MEMBERSHIP_TOL
-    columns, parallel = [], []
-    for idx, seg in enumerate(graph.segments):
-        if isinstance(seg, VerticalSegment):
-            columns.append((1.0, seg.r, 0.0, 0.0, g * seg.r, 1.0, seg.xi_lo - tol, seg.xi_hi + tol))
-        elif abs(g + seg.slope) <= PARALLEL_RTOL * g:
-            parallel.append(idx)
-            columns.append((0.0, 0.0, 0.0, 0.0, 0.0, 1.0, np.inf, -np.inf))
-        else:
-            columns.append((0.0, 0.0, seg.slope, seg.intercept, seg.intercept, g + seg.slope,
-                            seg.r_lo - tol, seg.r_hi + tol))
-    vertical, r0, slope, intercept, shift, scale, lo, hi = np.array(columns).T
-    vertical = vertical == 1.0
-    tested = (e0[:, None] - shift) / scale
-    hit = (lo <= tested) & (tested <= hi)
-    r = np.where(vertical, r0, tested)
-    flux = np.where(vertical, tested, slope * tested + intercept)
+    table, parallel = _segment_table(graph, op.g)
+    if len(parents) == 1:  # floats beat ~20 numpy calls on length-1 arrays
+        y, e0, rows, segs, r, flux = _step_lone(op, table, rhs[0].tolist())
+    else:
+        y, e0, rows, segs, r, flux = _step_stack(op, table, rhs)
     if parallel:
         tags = segment_tags(graph)
-        for row, offset in enumerate(e0.tolist()):
+        for row, offset in enumerate(e0):
             for idx in parallel:
                 msg = _parallel_message(graph.segments[idx], offset)
                 log.debug("parent %d, segment %s: %s", row, tags[idx], msg)
                 if failures is not None:
                     failures.append((row, tags[idx], msg))
 
-    rows, segs = np.nonzero(hit)  # row-major: parent by parent, segments in order
-    r = r[rows, segs]
     states = np.empty((len(rows), mesh.n))
     np.subtract(y[rows], r[:, None] * op.w, out=states[:, :-1])
     states[:, -1] = r
-    return StepLevel(states, rows, segs, flux[rows, segs])
+    return StepLevel(states, rows, segs, flux)
 
 
 def _merge_duplicates(states):

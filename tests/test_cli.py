@@ -106,6 +106,26 @@ def test_run_reports_numerical_failure(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("pieces, failure", [
+    ("-1.9375:7.25:0",
+     "continuum of solutions: segment lies on the Schur line for r in [-inf, inf]"),
+    ("-1.9375:0:0", "no solution: segment parallel to the Schur line, flux offset 7.25"),
+])
+def test_run_failure_quotes_the_dying_step(tmp_path, capsys, pieces, failure):
+    # n=2, dx=1/2, tau=1/12: g = 3.875 and e0 = 3.625*2 = 7.25, so the only
+    # segment, xi = -3.875*r + c1, is parallel to the Schur line xi = 7.25 - g*r
+    # and lies on it for c1 = 7.25
+    code = _run_cli(
+        "run", "--potential", "custom", "--breakpoints=", "--pieces=" + pieces,
+        "--nx", "2", "--dt", "0.08333333333333333", "--T", "0.08333333333333333",
+        "--u0", "const:2", "--out", str(tmp_path / "x"),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: no isolated solution at step 1 of tau=0.08333333333333333 "
+        "(1 step failure at that step): branch 0, a0: %s\n" % failure)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_run_non_finite_norm_is_numerical_failure(tmp_path, capsys):

@@ -137,7 +137,16 @@ def test_singular_segment_does_not_abort_other_segments():
     assert all(rothe.segment_tags(graph)[s] != "a0" for s in sols.segment)
 
 
+def _same_bits(a, b):
+    """Two StepLevels with equal dtypes, shapes and bytes, field by field."""
+    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in zip((a.states, a.parent, a.segment, a.flux),
+                               (b.states, b.parent, b.segment, b.flux)))
+
+
 def test_stacked_step_equals_one_row_steps():
+    # a stack runs the array test and a lone parent the float test; the
+    # children must agree bit for bit, and the last parent (NaN) has none
     rng = np.random.default_rng(11)
     pots = [potential_j1(), potential_j2(), random_potential(rng), random_potential(rng)]
     sizes = (6, 50, 401, 30)
@@ -148,33 +157,64 @@ def test_stacked_step_equals_one_row_steps():
         mesh = Mesh1D.uniform(n)
         tau = float(rng.uniform(0.01, 0.2))
         parents = rng.choice(pot.breakpoints) + rng.uniform(-0.4, 0.4, (7, n))
+        parents = np.vstack([parents, np.full(n, np.nan)])
         f_k = rng.uniform(-0.3, 0.3, n)
         level = rothe_step_all(mesh, graph, parents, tau, f_k)
         want = {"states": [], "parent": [], "tags": [], "flux": []}
         for row, prev in enumerate(parents):
             one = rothe_step_all(mesh, graph, prev, tau, f_k)
             assert one.parent.tolist() == [0] * len(one)
+            for got, stacked in zip((one.states, one.parent, one.segment, one.flux),
+                                    (level.states, level.parent, level.segment, level.flux)):
+                assert got.dtype == stacked.dtype and got.shape[1:] == stacked.shape[1:]
             want["states"].extend(one.states)
             want["parent"].extend([row] * len(one))
             want["tags"].extend(tags[s] for s in one.segment)
             want["flux"].extend(one.flux)
             branched += len(one) > 1
+        assert one.states.shape == (0, n)  # the NaN parent's lone level
         assert len(level) == len(want["parent"])
-        assert np.array_equal(level.states, np.reshape(want["states"], (-1, n)))
+        assert level.states.tobytes() == np.reshape(want["states"], (-1, n)).tobytes()
         assert level.parent.tolist() == want["parent"]  # parent-major order
         assert [tags[s] for s in level.segment] == want["tags"]
-        assert np.array_equal(level.flux, want["flux"])
+        assert level.flux.tobytes() == np.array(want["flux"]).tobytes()
+        for rows in (parents, parents[0]):  # no forcing is a zero forcing, on both paths
+            assert _same_bits(rothe_step_all(mesh, graph, rows, tau),
+                              rothe_step_all(mesh, graph, rows, tau, np.zeros(n)))
     assert branched >= 3
 
 
 def test_stacked_step_reports_failures_by_parent_row():
     mesh = Mesh1D(2, 0.5)
-    pot = PiecewiseQuadraticPotential([1.0], [(-1.9375, 0.0, 0.0), (0.0, 0.0, -1.9375)])
+    graph = clarke_subdifferential(
+        PiecewiseQuadraticPotential([1.0], [(-1.9375, 0.0, 0.0), (0.0, 0.0, -1.9375)]))
     parents = np.array([[2.0, 2.0], [3.0, 3.0], [2.0, 2.0]])
     failures = []
-    rothe_step_all(mesh, clarke_subdifferential(pot), parents, tau=1 / 12, failures=failures)
+    rothe_step_all(mesh, graph, parents, tau=1 / 12, failures=failures)
     assert [f[:2] for f in failures] == [(0, "a0"), (1, "a0"), (2, "a0")]
     assert failures[0][2] == failures[2][2] != failures[1][2]
+    for row, prev in enumerate(parents):  # the float test reports the same failure
+        lone = []
+        rothe_step_all(mesh, graph, prev, tau=1 / 12, failures=lone)
+        assert lone == [(0,) + failures[row][1:]]
+
+
+def test_require_solved_quotes_the_dying_level():
+    tree = rothe.SolutionTree(
+        mesh=Mesh1D(2, 0.5), config=RotheConfig(tau=0.5, num_steps=2), policy="all",
+        tags=["a0"], no_solution_level=2,
+        step_failures=[(1, "0", "a0", "early")] + [(2, "0.%d" % i, "a0", "late %d" % i)
+                                                  for i in range(5)])
+    with pytest.raises(rothe.NoSolutionError) as err:
+        tree.require_solved()
+    assert str(err.value) == (
+        "no isolated solution at step 2 of tau=0.5 (5 step failures at that step): "
+        "branch 0.0, a0: late 0; branch 0.1, a0: late 1; branch 0.2, a0: late 2; and 2 more")
+    tree.no_solution_level = 3
+    with pytest.raises(rothe.NoSolutionError) as err:
+        tree.require_solved()
+    assert str(err.value) == (
+        "no solution on any segment at step 3 of tau=0.5 (0 step failures at that step)")
 
 
 def test_run_records_dead_tree():
