@@ -1,8 +1,9 @@
 """Command line front end: single runs, branch enumeration, convergence
 studies, and the abstract-condition checker.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure
-(no-solution step, singular system, non-finite state or norm), 3 I/O error.
+Exit codes: 0 success, 1 configuration error (also a rejected command
+line), 2 numerical failure (no-solution step, singular system, non-finite
+state or norm), 3 I/O error.
 The environment variable HVI_OUT overrides the output directory.
 """
 
@@ -482,8 +483,17 @@ def _add_experiment_flags(p):
         p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=f.type, **f.metadata)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1, the configuration-error
+    code, instead of argparse's 2, the code of a numerical failure here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hvisolve",
         description="Backward-Euler solver for the 1D heat equation with a "
                     "multivalued boundary condition, with per-step solution enumeration.",

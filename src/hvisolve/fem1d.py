@@ -82,14 +82,6 @@ class TridiagonalSystem:
         y[..., 1:] += self.lower * x[..., :-1]
         return y
 
-    def to_dense(self):
-        n = self.size
-        a = np.zeros((n, n), dtype=self.diag.dtype)
-        a[np.arange(n), np.arange(n)] = self.diag
-        a[np.arange(1, n), np.arange(n - 1)] = self.lower
-        a[np.arange(n - 1), np.arange(1, n)] = self.upper
-        return a
-
     def row(self, i):
         """Nonzero entries of row i as (lower, diag, upper); None where absent."""
         lo = self.lower[i - 1] if i > 0 else None
@@ -121,8 +113,9 @@ class ThomasFactor:
     Row i of the forward sweep is ``d_i = (b_i - lower[i-1]*d_{i-1}) / pivots[i]``
     and of the back sweep ``x_i = d_i - mult[i]*x_{i+1}``, with
     ``mult[i] = upper[i] / pivots[i]``.  The entries are Python floats, so a
-    vector solve runs on floats instead of numpy scalars; the arithmetic per
-    column is the same for a vector and for an array of columns.
+    single column (a vector or an (n, 1) array) is solved on floats instead
+    of numpy scalars; the arithmetic per column is the same for one column
+    and for many.
     """
 
     lower: tuple
@@ -134,12 +127,13 @@ class ThomasFactor:
         return len(self.pivots)
 
     def solve(self, rhs):
-        """Solve for a vector, or for each column of an (n, m) array in one row sweep."""
+        """Solve for a vector or for each column of an (n, m) array, in the
+        shape given: one column on a list of floats, more in one row sweep."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.ndim not in (1, 2) or len(rhs) != self.size:
             raise ValueError("rhs shape %s does not fit system size %d" % (rhs.shape, self.size))
-        if rhs.ndim == 1:
-            return np.array(self._substitute(rhs.tolist()), dtype=float)
+        if rhs.ndim == 1 or rhs.shape[1] == 1:  # floats beat numpy calls on length-1 rows
+            return np.array(self._substitute(rhs.ravel().tolist()), dtype=float).reshape(rhs.shape)
         return self._substitute(rhs.copy())
 
     def _substitute(self, x):

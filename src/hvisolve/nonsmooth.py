@@ -88,8 +88,8 @@ class AffineSegment:
     def value(self, r):
         return self.slope * r + self.intercept
 
-    def contains(self, r, tol=MEMBERSHIP_TOL):
-        return self.r_lo - tol <= r <= self.r_hi + tol
+    def contains(self, r):
+        return self.r_lo - MEMBERSHIP_TOL <= r <= self.r_hi + MEMBERSHIP_TOL
 
 
 @dataclass(frozen=True)
@@ -121,17 +121,17 @@ class SubdifferentialGraph:
             if a.r_hi != b.r_lo:
                 raise PotentialError("affine segments must tile R without gaps")
 
-    def select(self, r, tol=MEMBERSHIP_TOL):
+    def select(self, r):
         """The set returned by the graph at r, as a closed interval (lo, hi)."""
         lo = np.inf
         hi = -np.inf
         for seg in self.segments:
             if isinstance(seg, AffineSegment):
-                if seg.contains(r, tol):
+                if seg.contains(r):
                     v = seg.value(r)
                     lo = min(lo, v)
                     hi = max(hi, v)
-            elif abs(r - seg.r) <= tol:
+            elif abs(r - seg.r) <= MEMBERSHIP_TOL:
                 lo = min(lo, seg.xi_lo)
                 hi = max(hi, seg.xi_hi)
         return lo, hi

@@ -12,16 +12,16 @@ interior response w and the Thomas factor of the interior matrix depend only
 on (mesh, tau) and are built once.
 
 A step takes a whole level of the branch tree at once, its m parents as an
-(m, n) stack.  One mass matvec gives the m right-hand sides.  One segment
-table, built per call, holds a tuple (vertical, r0, slope, intercept, shift,
-scale, lo, hi) per graph segment, and every parent is tested against it as
-lo <= (e0 - shift)/scale <= hi: an affine segment gives
-r = (e0 - intercept)/(g + slope), checked against its interval; a vertical
-segment at r0 checks e0 - g*r0 against its flux interval.  A lone parent
-goes through the Thomas substitution and the table as Python floats, a
-stack through one sweep over the rows of the (n-1, m) block and one (m, S)
-array test.  Both do the same arithmetic per value, so a child's bits never
-depend on which other parents share its level.
+(m, n) stack.  One mass matvec gives the m right-hand sides and one
+ThomasFactor.solve of their (n-1, m) interior block gives every y and e0.
+One segment table, built per call, holds a tuple (vertical, r0, slope,
+intercept, shift, scale, lo, hi) per graph segment, and one loop on Python
+floats tests each parent's e0 against it as lo <= (e0 - shift)/scale <= hi:
+an affine segment gives r = (e0 - intercept)/(g + slope), checked against
+its interval; a vertical segment at r0 checks e0 - g*r0 against its flux
+interval.  The solve does the same arithmetic per column for one parent as
+for many, so a child's bits never depend on which other parents share its
+level.
 
 A segment parallel to the lines xi = e0 - g*r has no solution or a
 continuum of them; both are reported, never skipped silently.
@@ -287,8 +287,8 @@ def segment_tags(graph):
 
 
 def _segment_table(graph, g):
-    """One column tuple (vertical, r0, slope, intercept, shift, scale, lo, hi)
-    per graph segment, tested as lo <= (e0 - shift)/scale <= hi with each
+    """One tuple (vertical, r0, slope, intercept, shift, scale, lo, hi) per
+    graph segment, tested as lo <= (e0 - shift)/scale <= hi with each
     closed interval widened by MEMBERSHIP_TOL, and the indices of the
     segments parallel to the Schur line, whose interval is empty."""
     tol = MEMBERSHIP_TOL
@@ -303,39 +303,6 @@ def _segment_table(graph, g):
             table.append((False, 0.0, seg.slope, seg.intercept, seg.intercept, g + seg.slope,
                           seg.r_lo - tol, seg.r_hi + tol))
     return table, parallel
-
-
-def _step_lone(op, table, rhs):
-    """The step of a lone parent on Python floats, from its right-hand side
-    as a list: (y as a (1, n-1) array, [e0], rows, segments, r, flux)."""
-    last = rhs.pop()
-    y = op.interior._substitute(rhs)  # ThomasFactor.solve's float sweep, in place
-    e0 = last - op.coupling * y[-1]
-    segs, r, flux = [], [], []
-    for idx, (vertical, r0, slope, intercept, shift, scale, lo, hi) in enumerate(table):
-        t = (e0 - shift) / scale
-        if lo <= t <= hi:
-            segs.append(idx)
-            r.append(r0 if vertical else t)
-            flux.append(t if vertical else slope * t + intercept)
-    return (np.array([y]), [e0], np.zeros(len(segs), dtype=np.intp),
-            np.array(segs, dtype=np.intp), np.array(r, dtype=float), np.array(flux, dtype=float))
-
-
-def _step_stack(op, table, rhs):
-    """The step of an (m, n) stack of right-hand sides as one (m, S) array
-    test, with the float test's operations: the same tuple as _step_lone."""
-    y = op.interior.solve(rhs[:, :-1].T).T
-    e0 = rhs[:, -1] - op.coupling * y[:, -1]
-    vertical, r0, slope, intercept, shift, scale, lo, hi = np.array(table).T
-    vertical = vertical.astype(bool)
-    tested = (e0[:, None] - shift) / scale
-    rows, segs = np.nonzero((lo <= tested) & (tested <= hi))  # parent by parent, segments in order
-    tested = tested[rows, segs]
-    vertical = vertical[segs]
-    r = np.where(vertical, r0[segs], tested)
-    flux = np.where(vertical, tested, slope[segs] * tested + intercept[segs])
-    return y, e0.tolist(), rows, segs, r, flux
 
 
 def rothe_step_all(mesh, graph, parents, tau, f_k=None, failures=None):
@@ -359,11 +326,18 @@ def rothe_step_all(mesh, graph, parents, tau, f_k=None, failures=None):
     rhs /= tau
     if f_k is not None:
         rhs += np.asarray(f_k, dtype=float)
+    y = op.interior.solve(rhs[:, :-1].T).T
+    e0 = (rhs[:, -1] - op.coupling * y[:, -1]).tolist()
     table, parallel = _segment_table(graph, op.g)
-    if len(parents) == 1:  # floats beat ~20 numpy calls on length-1 arrays
-        y, e0, rows, segs, r, flux = _step_lone(op, table, rhs[0].tolist())
-    else:
-        y, e0, rows, segs, r, flux = _step_stack(op, table, rhs)
+    rows, segs, r, flux = [], [], [], []
+    for row, e in enumerate(e0):
+        for idx, (vertical, r0, slope, intercept, shift, scale, lo, hi) in enumerate(table):
+            t = (e - shift) / scale
+            if lo <= t <= hi:
+                rows.append(row)
+                segs.append(idx)
+                r.append(r0 if vertical else t)
+                flux.append(t if vertical else slope * t + intercept)
     if parallel:
         tags = segment_tags(graph)
         for row, offset in enumerate(e0):
@@ -373,10 +347,12 @@ def rothe_step_all(mesh, graph, parents, tau, f_k=None, failures=None):
                 if failures is not None:
                     failures.append((row, tags[idx], msg))
 
+    rows = np.array(rows, dtype=np.intp)
+    r = np.array(r, dtype=float)
     states = np.empty((len(rows), mesh.n))
     np.subtract(y[rows], r[:, None] * op.w, out=states[:, :-1])
     states[:, -1] = r
-    return StepLevel(states, rows, segs, flux)
+    return StepLevel(states, rows, np.array(segs, dtype=np.intp), np.array(flux, dtype=float))
 
 
 def _merge_duplicates(states):

@@ -23,15 +23,25 @@ from hvisolve import (
 )
 
 
+def to_dense(sys):
+    """The full matrix of a TridiagonalSystem, in the dtype of its diagonal."""
+    n = sys.size
+    a = np.zeros((n, n), dtype=sys.diag.dtype)
+    a[np.arange(n), np.arange(n)] = sys.diag
+    a[np.arange(1, n), np.arange(n - 1)] = sys.lower
+    a[np.arange(n - 1), np.arange(1, n)] = sys.upper
+    return a
+
+
 def dense_step_matrix(mesh, tau):
-    m = assemble_mass(mesh).to_dense().astype(float)
-    k = assemble_stiffness(mesh).to_dense().astype(float)
+    m = to_dense(assemble_mass(mesh)).astype(float)
+    k = to_dense(assemble_stiffness(mesh)).astype(float)
     return m, m / tau + k
 
 
 @functools.lru_cache(maxsize=8)
 def _dense_mass_plus_stiffness(mesh):
-    return (assemble_mass(mesh).to_dense() + assemble_stiffness(mesh).to_dense()).astype(float)
+    return (to_dense(assemble_mass(mesh)) + to_dense(assemble_stiffness(mesh))).astype(float)
 
 
 def dense_dual_norm(mesh, g):
@@ -50,7 +60,7 @@ def interpolant_gap(mesh, states, tau):
     which is exact for the quadratic integrand: at t = (k - 1 + theta)*tau,
     pc(t) = u^k and pl(t) = (1 - theta)*u^{k-1} + theta*u^k.
     """
-    m = assemble_mass(mesh).to_dense().astype(float)
+    m = to_dense(assemble_mass(mesh)).astype(float)
     acc = 0.0
     for prev, cur in zip(states, states[1:]):
         for theta in (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)):

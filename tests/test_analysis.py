@@ -21,7 +21,7 @@ from hvisolve import (
     run,
     zero_flux_graph,
 )
-from oracles import brute_force_bv2, dense_dual_norm, interpolant_gap
+from oracles import brute_force_bv2, dense_dual_norm, interpolant_gap, to_dense
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +78,8 @@ def test_interpolant_norms_single_step_derivative():
 
 def _dense_norm_report(mesh, snaps, tau):
     """The five NormReport fields from dense matrices and the dense dual norm."""
-    m = assemble_mass(mesh).to_dense().astype(float)
-    mk = m + assemble_stiffness(mesh).to_dense().astype(float)
+    m = to_dense(assemble_mass(mesh)).astype(float)
+    mk = m + to_dense(assemble_stiffness(mesh)).astype(float)
     h = [math.sqrt(s @ m @ s) for s in snaps]
     l2V = math.sqrt(tau * sum(s @ mk @ s for s in snaps[1:]))
     du = [dense_dual_norm(mesh, m @ (b - a) / tau) for a, b in zip(snaps, snaps[1:])]
@@ -107,7 +107,7 @@ def test_bv2_of_paper_j2_path_matches_dense_oracle():
                branch_policy="first")
     states = tree.chain_states()
     assert len(states) == 101
-    m = assemble_mass(mesh).to_dense().astype(float)
+    m = to_dense(assemble_mass(mesh)).astype(float)
     want = bv2_seminorm(states, lambda d: np.array([dense_dual_norm(mesh, m @ v) for v in d]))
     assert interpolant_norms(mesh, states, cfg.tau).bv2_Vstar == pytest.approx(want, rel=1e-12)
 
@@ -249,8 +249,8 @@ def test_bound_and_convergence_sums_match_dense_loops():
     # reference interval m taken as ceil(m/ratio)
     mesh = Mesh1D.uniform(12)
     graph = clarke_subdifferential(potential_j2())
-    m = assemble_mass(mesh).to_dense().astype(float)
-    mk = m + assemble_stiffness(mesh).to_dense().astype(float)
+    m = to_dense(assemble_mass(mesh)).astype(float)
+    mk = m + to_dense(assemble_stiffness(mesh)).astype(float)
     problem = StudyProblem(mesh=mesh, graph=graph, u0=lambda x: 2.0, horizon=0.4)
     ref_tau = 0.005
     ref_tree = problem.solve(ref_tau)

@@ -95,6 +95,22 @@ def test_run_requires_potential(tmp_path):
     assert _run_cli("run", "--out", str(tmp_path / "x")) == 1
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["run", "--potential", "custom", "--breakpoints=", "--pieces", "-1.9375:7.25:0",
+      "--nx", "2"], 1, "argument --pieces: expected one argument"),
+    (["run", "--preset", "paper-j2", "--bogus"], 1, "unrecognized arguments: --bogus"),
+    (["run", "--policy", "some"], 1, "argument --policy: invalid choice: 'some'"),
+    (["run", "--nx", "ten"], 1, "argument --nx: invalid int value: 'ten'"),
+    (["--help"], 0, ""),
+])
+def test_usage_errors_are_config_errors(capsys, argv, code, message):
+    with pytest.raises(SystemExit) as exc:
+        _run_cli(*argv)
+    assert exc.value.code == code
+    err = capsys.readouterr().err
+    assert message in err and ("error: " in err) == (code != 0)
+
+
 def test_run_reports_numerical_failure(tmp_path):
     # dyadic mesh/step make the folded boundary pivot exactly zero on the
     # only graph segment, so the first step has no solution at all

@@ -13,7 +13,7 @@ from hvisolve import (
     factor_tridiagonal,
     solve_tridiagonal,
 )
-from oracles import dense_dual_norm
+from oracles import dense_dual_norm, to_dense
 
 
 def test_mesh_validation():
@@ -51,7 +51,7 @@ def test_stiffness_kills_linear_interpolant_in_interior():
     mesh = Mesh1D.uniform(17)
     k = assemble_stiffness(mesh)
     y = k.matvec(mesh.nodes)
-    dense = k.to_dense() @ mesh.nodes  # dense matrix-vector oracle
+    dense = to_dense(k) @ mesh.nodes  # dense matrix-vector oracle
     assert np.allclose(y, dense, atol=1e-12)
     assert np.max(np.abs(y[:-1])) <= 1e-12
     assert y[-1] == pytest.approx(1.0, abs=1e-12)
@@ -96,7 +96,7 @@ def test_solve_matches_dense_oracle():
         sys_ = TridiagonalSystem(lower, diag, upper)
         rhs = rng.uniform(-2, 2, n)
         x = solve_tridiagonal(sys_, rhs)
-        assert np.allclose(x, np.linalg.solve(sys_.to_dense(), rhs), atol=1e-10)
+        assert np.allclose(x, np.linalg.solve(to_dense(sys_), rhs), atol=1e-10)
         residual = np.max(np.abs(sys_.matvec(x) - rhs))
         assert residual <= 1e-10 * (np.max(np.abs(rhs)) + 1.0)
 
@@ -126,7 +126,7 @@ def test_solve_multi_column_matches_vector_and_dense_solves():
         assert x.shape == (n, 5)
         for j in range(5):
             assert np.array_equal(x[:, j], solve_tridiagonal(sys_, rhs[:, j]))
-        dense = np.linalg.solve(sys_.to_dense(), rhs)
+        dense = np.linalg.solve(to_dense(sys_), rhs)
         assert np.max(np.abs(x - dense)) <= 1e-12 * np.max(np.abs(dense))
         # one factor serves many solves, vectors and arrays alike, and each
         # equals a fresh elimination bit for bit
@@ -135,6 +135,11 @@ def test_solve_multi_column_matches_vector_and_dense_solves():
             assert np.array_equal(factor.solve(b), solve_tridiagonal(sys_, b))
             assert np.array_equal(factor.solve(b[:, 0]), solve_tridiagonal(sys_, b[:, 0]))
         assert np.array_equal(factor.solve(rhs), x)
+        # an (n, 1) array takes the one-column sweep, in the shape given, with
+        # the bits of the vector solve and of that column of a wider solve
+        one = factor.solve(rhs[:, :1])
+        assert one.shape == (n, 1)
+        assert one[:, 0].tobytes() == factor.solve(rhs[:, 0]).tobytes() == x[:, 0].tobytes()
 
 
 def test_solve_multi_column_rejects_singular_pivot():
@@ -173,9 +178,9 @@ def test_ldl_factor_reconstructs_and_whitens():
     mesh = Mesh1D.uniform(9)
     mk = assemble_mass(mesh) + assemble_stiffness(mesh)
     norms = MeshNorms(mesh)
-    l_dense, d = norms.L.to_dense(), norms.sqrt_d**2
+    l_dense, d = to_dense(norms.L), norms.sqrt_d**2
     assert np.array_equal(np.diag(l_dense), np.ones(mesh.n))
-    assert np.allclose(l_dense @ np.diag(d) @ l_dense.T, mk.to_dense(), rtol=0, atol=1e-12)
+    assert np.allclose(l_dense @ np.diag(d) @ l_dense.T, to_dense(mk), rtol=0, atol=1e-12)
     g = np.random.default_rng(4).uniform(-1, 1, (mesh.n, 3))
     assert np.allclose(solve_tridiagonal(norms.L, g), np.linalg.solve(l_dense, g),
                        rtol=0, atol=1e-12)
@@ -195,8 +200,8 @@ def test_norms_of_row_stack_match_rows_and_dense():
     for n in (2, 5, 17):
         mesh = Mesh1D.uniform(n)
         kit = MeshNorms(mesh)
-        m = assemble_mass(mesh).to_dense().astype(float)
-        mk = m + assemble_stiffness(mesh).to_dense().astype(float)
+        m = to_dense(assemble_mass(mesh)).astype(float)
+        mk = m + to_dense(assemble_stiffness(mesh)).astype(float)
         stack = rng.uniform(-2, 2, (6, n))
         h, v_sq = kit.h(stack), kit.v_sq(stack)
         assert h.shape == v_sq.shape == (6,)
@@ -257,7 +262,7 @@ def test_dual_norm_matches_dense_oracle():
 def test_matrices_positive_definite(n):
     mesh = Mesh1D.uniform(n)
     for sys_ in (assemble_mass(mesh), assemble_stiffness(mesh)):
-        assert np.min(np.linalg.eigvalsh(sys_.to_dense())) > 0
+        assert np.min(np.linalg.eigvalsh(to_dense(sys_))) > 0
 
 
 def test_dual_norm_of_h_functional_bounded_by_h_norm():

@@ -29,6 +29,7 @@ from oracles import (
     interpolant_gap,
     random_potential,
     schur_scan_solutions,
+    to_dense,
 )
 
 
@@ -92,8 +93,8 @@ def test_step_pure_heat_matches_dense_solve():
     prev = rng.uniform(-1, 2, mesh.n)
     sols = rothe_step_all(mesh, zero_flux_graph(), prev, tau)
     assert len(sols) == 1
-    m = assemble_mass(mesh).to_dense()
-    a = m / tau + assemble_stiffness(mesh).to_dense()
+    m = to_dense(assemble_mass(mesh))
+    a = m / tau + to_dense(assemble_stiffness(mesh))
     want = np.linalg.solve(a, m @ prev / tau)
     assert np.allclose(sols.states[0], want, atol=1e-10)
 
@@ -145,8 +146,9 @@ def _same_bits(a, b):
 
 
 def test_stacked_step_equals_one_row_steps():
-    # a stack runs the array test and a lone parent the float test; the
-    # children must agree bit for bit, and the last parent (NaN) has none
+    # a stack's interior block is solved by ThomasFactor.solve's row sweep,
+    # a lone parent's by its list sweep; the children must agree bit for bit
+    # through the step, and the last parent (NaN) has none
     rng = np.random.default_rng(11)
     pots = [potential_j1(), potential_j2(), random_potential(rng), random_potential(rng)]
     sizes = (6, 50, 401, 30)
