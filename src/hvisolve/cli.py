@@ -296,7 +296,8 @@ def write_trajectory(path, tree, surface=None):
     follows goes there in the same pass, the Dirichlet end first at each
     level.  Each level's surface lines are built from the text of its path
     row, so every value on the path is formatted once.  A forked child may
-    write the back levels (see _fork_level); the bytes are the same.  If
+    write the back levels (see _fork_level), deriving the branch ids of the
+    front levels without formatting their rows; the bytes are the same.  If
     writing fails, neither file is left behind.
     """
     n = tree.mesh.n

@@ -32,8 +32,10 @@ coinciding states once per level.
 
 A step returns its children as one StepLevel record of arrays (states,
 parent rows, segment indices, fluxes).  ``run`` keeps the merged and
-selected rows of it as the tree's level, read-only, beside one branch id
-per row; no level is stored twice.
+selected rows of it as the tree's level, read-only; no level is stored
+twice.  A branch id is derived from the parent links, never stored: the
+root is ``0`` and a child's id is its parent's id, a dot and its segment
+index (see SolutionTree.level_ids).
 """
 
 import functools
@@ -137,10 +139,11 @@ class StepLevel:
 class SolutionTree:
     """Per-time-step record of all retained discrete solutions.
 
-    ``levels[k]`` is the StepLevel of the branches kept at step k, its rows
-    indexing ``branch_ids[k]``; a child's ``parent`` is a row of level k-1
-    and its ``segment`` indexes ``tags``, the graph's segment tags.  The root
-    level holds the initial state, with parent and segment -1 and flux NaN.
+    ``levels[k]`` is the StepLevel of the branches kept at step k; a child's
+    ``parent`` is a row of level k-1 and its ``segment`` indexes ``tags``,
+    the graph's segment tags.  The root level holds the initial state, with
+    parent and segment -1 and flux NaN.  Branch ids are derived from these
+    links by ``level_ids``; the tree stores only its levels.
     """
 
     mesh: object
@@ -148,11 +151,19 @@ class SolutionTree:
     policy: str
     tags: list
     levels: list = field(default_factory=list)
-    branch_ids: list = field(default_factory=list)  # per level, the id of each row
     truncated: bool = False
     no_solution_level: int | None = None
     terminated: list = field(default_factory=list)  # (level, branch_id) of dead ends
     step_failures: list = field(default_factory=list)  # (level, branch_id, case_tag, message)
+
+    def level_ids(self, stop=None):
+        """The branch id of each row, one list per level for the levels before
+        ``stop`` (all of them when None), each derived from the one before;
+        only one level's list is held at a time."""
+        ids = None
+        for level in self.levels[:stop]:
+            ids = ["0"] if ids is None else _child_ids(ids, level)
+            yield ids
 
     @property
     def num_levels(self):
@@ -350,9 +361,16 @@ def rothe_step_all(mesh, graph, parents, tau, f_k=None, failures=None):
     rows = np.array(rows, dtype=np.intp)
     r = np.array(r, dtype=float)
     states = np.empty((len(rows), mesh.n))
-    np.subtract(y[rows], r[:, None] * op.w, out=states[:, :-1])
+    np.subtract(y.take(rows, axis=0), r[:, None] * op.w, out=states[:, :-1])
     states[:, -1] = r
     return StepLevel(states, rows, np.array(segs, dtype=np.intp), np.array(flux, dtype=float))
+
+
+def _child_ids(parent_ids, level):
+    """The branch id of each row of ``level``: the id of its parent, a row of
+    the level whose ids are ``parent_ids``, a dot and its segment index."""
+    return ["%s.%d" % (parent_ids[p], s)
+            for p, s in zip(level.parent.tolist(), level.segment.tolist())]
 
 
 def _merge_duplicates(states):
@@ -413,11 +431,10 @@ def run(config, mesh, graph, u0, f=None, branch_policy="all"):
     root = StepLevel(project_initial(mesh, u0)[None, :], np.array([-1]), np.array([-1]),
                      np.array([np.nan]))
     tree.levels.append(root.take([0]))
-    tree.branch_ids.append(["0"])
+    (parent_ids,) = tree.level_ids()  # only the newest level's ids are kept
 
     for k in range(1, config.num_steps + 1):
         f_k = zero if f is None else clement_average(f, config.tau, k)
-        parent_ids = tree.branch_ids[-1]
         fails = []
         step = rothe_step_all(mesh, graph, tree.levels[-1].states, config.tau, f_k, failures=fails)
         tree.step_failures.extend((k, parent_ids[row], tag, msg) for row, tag, msg in fails)
@@ -434,8 +451,7 @@ def run(config, mesh, graph, u0, f=None, branch_policy="all"):
             tree.truncated = True
         level = step.take(kept)
         tree.levels.append(level)
-        tree.branch_ids.append(["%s.%d" % (parent_ids[p], s) for p, s in
-                                zip(level.parent.tolist(), level.segment.tolist())])
+        parent_ids = _child_ids(parent_ids, level)
     return tree
 
 
@@ -447,14 +463,19 @@ def trajectory_rows(tree, start=0):
     branch per level, yielded lazily: the whole table is never held at once.
 
     Columns: t, branch_id, parent_id, case_tag, alpha_1..alpha_n, xi.  The
-    root row has case tag ``init`` and empty parent and flux fields.
+    root row has case tag ``init`` and empty parent and flux fields.  The ids
+    come from ``tree.level_ids()``, derived from level 0 on whatever
+    ``start`` is; the rows before ``start`` are never built.
     """
+    ids = tree.level_ids()
+    parent_ids = next(ids)
     if start == 0:
-        yield [0.0, tree.branch_ids[0][0], "", "init", *tree.levels[0].states[0].tolist(), ""]
-    for k in range(max(start, 1), tree.num_levels):
-        level, parent_ids = tree.levels[k], tree.branch_ids[k - 1]
-        t = k * tree.config.tau
-        for bid, state, parent, seg, flux in zip(
-                tree.branch_ids[k], level.states, level.parent.tolist(),
-                level.segment.tolist(), level.flux.tolist()):
-            yield [t, bid, parent_ids[parent], tree.tags[seg], *state.tolist(), flux]
+        yield [0.0, parent_ids[0], "", "init", *tree.levels[0].states[0].tolist(), ""]
+    for k, branch_ids in enumerate(ids, start=1):
+        if k >= start:
+            level, t = tree.levels[k], k * tree.config.tau
+            for bid, state, parent, seg, flux in zip(
+                    branch_ids, level.states, level.parent.tolist(),
+                    level.segment.tolist(), level.flux.tolist()):
+                yield [t, bid, parent_ids[parent], tree.tags[seg], *state.tolist(), flux]
+        parent_ids = branch_ids

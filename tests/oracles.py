@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's solution paths: dense numpy
 linear algebra instead of the tridiagonal elimination, grid scanning instead
 of segment folding, exhaustive subsequence enumeration instead of dynamic
-programming, finite differences instead of exact graph values, and all-pairs
-comparison instead of a window on sorted boundary values.
+programming, finite differences instead of exact graph values, all-pairs
+comparison instead of a window on sorted boundary values, and branch ids
+spelled out from each row's own root-to-leaf walk instead of level by level.
 """
 
 import functools
@@ -206,6 +207,23 @@ def step_mean(f, tau, k):
     return sum(w * np.asarray(f(t), dtype=float) for w, t in zip(weights, times)) / 2.0
 
 
+def branch_id(tree, k, row):
+    """Id of row ``row`` of level ``k``: "0", then ".<segment>" for every
+    step of the path that the parent links lead from the root to it."""
+    segments = []
+    for level in reversed(tree.levels[1:k + 1]):
+        segments.append(int(level.segment[row]))
+        row = int(level.parent[row])
+    assert row == 0, row  # the root level has one row
+    return "".join(["0"] + [".%d" % s for s in reversed(segments)])
+
+
+def tree_branch_ids(tree):
+    """The id of every row of every level, by branch_id: O(rows * depth)."""
+    return [[branch_id(tree, k, row) for row in range(len(level))]
+            for k, level in enumerate(tree.levels)]
+
+
 def check_tree(tree, graph, f=None, rtol=1e-12, tol=1e-12):
     """Dense certificate of a solution tree: every branch solves the step
     inclusion it claims, against its parent.
@@ -217,15 +235,19 @@ def check_tree(tree, graph, f=None, rtol=1e-12, tol=1e-12):
     The boundary pair (a_n, xi) must lie, within ``tol``, on the graph
     segment that the branch's case tag names: affine tags ``a<i>`` by the
     segment's closed interval and line, vertical tags ``v<i>`` by its point
-    and flux interval.
+    and flux interval.  The ids ``tree.level_ids()`` derives must be those
+    of tree_branch_ids, and distinct within each level.
     """
     tau = tree.config.tau
     m, a = dense_step_matrix(tree.mesh, tau)
+    ids = tree_branch_ids(tree)
+    assert list(tree.level_ids()) == ids
+    assert all(len(set(level)) == len(level) for level in ids)
     checked = 0
     for k in range(1, tree.num_levels):
         f_k = np.zeros(tree.mesh.n) if f is None else step_mean(f, tau, k)
         level, prev_states = tree.levels[k], tree.levels[k - 1].states
-        for i, bid in enumerate(tree.branch_ids[k]):
+        for i, bid in enumerate(ids[k]):
             state, prev = level.states[i], prev_states[level.parent[i]]
             xi = float(level.flux[i])
             tag = tree.tags[level.segment[i]]

@@ -29,6 +29,7 @@ from hvisolve.cli import (
     write_trajectory,
 )
 from hvisolve.rothe import StepLevel
+from oracles import tree_branch_ids
 
 
 def _read_csv(path):
@@ -439,12 +440,12 @@ def _selftest_tree():
 
 def _want_tables(tree):
     """The expected trajectory and surface rows, built from the level arrays."""
-    trajectory = []
-    for k, (level, ids) in enumerate(zip(tree.levels, tree.branch_ids)):
+    trajectory, branch_ids = [], tree_branch_ids(tree)
+    for k, (level, ids) in enumerate(zip(tree.levels, branch_ids)):
         for i, bid in enumerate(ids):
             parent, tag, flux = "", "init", ""
             if k:
-                parent = tree.branch_ids[k - 1][level.parent[i]]
+                parent = branch_ids[k - 1][level.parent[i]]
                 tag, flux = tree.tags[level.segment[i]], float(level.flux[i])
             trajectory.append([k * tree.config.tau, bid, parent, tag, *level.states[i], flux])
     surface = []
@@ -577,8 +578,10 @@ def test_surface_follows_parent_links(tmp_path):
                   [0, 0], [0, 2], [-0.5, 1e16]),
             level([[7.0, -1 / 7, 1e22], [0.7, 0.07, 0.007]], [1, 0], [1, 0], [3.0, 1 / 9]),
         ],
-        branch_ids=[["0"], ["0.0", "0.2"], ["0.2.1", "0.0.0"]],
     )
+    ids = [["0"], ["0.0", "0.2"], ["0.2.1", "0.0.0"]]
+    assert list(tree.level_ids()) == tree_branch_ids(tree) == ids
+    assert list(tree.level_ids(2)) == ids[:2] and list(tree.level_ids(0)) == []
     assert tree.path_rows(0) == [0, 1, 0]
     assert tree.path_states(0)[1].tolist() == [1e-05, 5e-324, -2.5e-300]
     assert _forced_split(tree) == 2  # the back half is the last level alone

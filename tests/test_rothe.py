@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from oracles import (
     random_potential,
     schur_scan_solutions,
     to_dense,
+    tree_branch_ids,
 )
 
 
@@ -231,6 +234,31 @@ def test_run_records_dead_tree():
     assert tree.step_failures
 
 
+def test_step_failures_name_every_parent_at_every_level():
+    # j1 up to r = 3, then a piece whose derivative has the Schur line's slope -g
+    # on [3, 4], past the reach of u0 = 1.5 (j1's flux is never negative), then
+    # constant: every parent of every level records one parallel-segment failure.
+    mesh, tau = Mesh1D.uniform(10), 0.05
+    g = rothe._schur_operator(mesh.n, float(mesh.dx), tau).g
+    c2, c1, c0 = -g / 2, 3 * g, 0.5 - 4.5 * g
+    pot = PiecewiseQuadraticPotential(
+        [0.0, 1.0, 3.0, 4.0],
+        [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.0, 0.0, 0.5), (c2, c1, c0),
+         (0.0, 0.0, (c2 * 4.0 + c1) * 4.0 + c0)])
+    graph = clarke_subdifferential(pot)
+    tree = run(RotheConfig.from_step(tau, 0.3, max_branches=128), mesh, graph,
+               lambda x: 1.5, branch_policy="all")
+    assert tree.completed() and tree.terminated == [] and tree.max_branch_count > 2
+    parallel = [tree.tags[i] for i, seg in enumerate(graph.segments)
+                if getattr(seg, "slope", None) == -g]
+    assert len(parallel) == 1
+    ids = tree_branch_ids(tree)
+    want = [(k, bid, parallel[0]) for k in range(1, tree.num_levels) for bid in ids[k - 1]]
+    assert [f[:3] for f in tree.step_failures] == want
+    assert all(f[3].startswith("no solution: segment parallel") for f in tree.step_failures)
+    assert len(want) > tree.num_levels  # some levels branch: ids well below the root's "0"
+
+
 def test_corner_solution_reported_twice_and_merged_once():
     # n=2, dx=1/2, tau=1/12: Schur complement g = 3.875 and e0 = 3.625*c, so
     # c = (g + 1)/3.625 puts the step on the j1 corner r = 1, xi = 1, where
@@ -251,7 +279,7 @@ def test_corner_solution_reported_twice_and_merged_once():
     for policy, level in want.items():
         tree = run(cfg, mesh, graph, lambda x: c, branch_policy=policy)
         tags = [tree.tags[s] for s in tree.levels[1].segment]
-        assert list(zip(tree.branch_ids[1], tags)) == level, policy
+        assert list(zip(tree_branch_ids(tree)[1], tags)) == level, policy
 
 
 def test_membership_tolerance_at_segment_ends():
@@ -437,14 +465,38 @@ def test_tree_invariants_on_branching_run():
     assert tree.completed()
     assert len(tree.levels[0]) == 1
     assert check_tree(tree, graph) == sum(tree.branch_counts()[1:])
-    for level, ids in zip(tree.levels, tree.branch_ids):
-        # one read-only record per level, one branch id per row
+    for level, ids in zip(tree.levels, tree.level_ids(), strict=True):
+        # one read-only record per level, one distinct branch id per row
         arrays = (level.states, level.parent, level.segment, level.flux)
         assert all(not a.flags.writeable and len(a) == len(level) for a in arrays)
         assert len(set(ids)) == len(ids) == len(level)
         for i, a in enumerate(level.states):
             for b in level.states[i + 1:]:
                 assert np.max(np.abs(a - b)) >= rothe.DEDUPE_TOL
+
+
+def test_tree_memory_is_its_level_arrays():
+    # 3497 rows over 201 levels: branch id strings, which grow with the depth,
+    # would hold ~5x the level arrays' bytes; derived ids leave ~1.3x
+    mesh, graph = Mesh1D.uniform(10), clarke_subdifferential(potential_j1())
+    cfg = RotheConfig.from_step(0.0025, 0.5, max_branches=128)
+    run(RotheConfig(tau=cfg.tau, num_steps=1), mesh, graph, lambda x: 2.0)  # warm the cache
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        tree = run(cfg, mesh, graph, lambda x: 2.0, branch_policy="all")
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert sum(tree.branch_counts()) == 3497
+    arrays = sum(a.nbytes for level in tree.levels
+                 for a in (level.states, level.parent, level.segment, level.flux))
+    assert held <= 2 * arrays, (held, arrays)
 
 
 def test_run_with_forcing_reaches_discrete_steady_state():
