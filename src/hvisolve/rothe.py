@@ -156,12 +156,11 @@ class SolutionTree:
     terminated: list = field(default_factory=list)  # (level, branch_id) of dead ends
     step_failures: list = field(default_factory=list)  # (level, branch_id, case_tag, message)
 
-    def level_ids(self, stop=None):
-        """The branch id of each row, one list per level for the levels before
-        ``stop`` (all of them when None), each derived from the one before;
-        only one level's list is held at a time."""
+    def level_ids(self):
+        """The branch id of each row, one list per level, each derived from
+        the one before; only one level's list is held at a time."""
         ids = None
-        for level in self.levels[:stop]:
+        for level in self.levels:
             ids = ["0"] if ids is None else _child_ids(ids, level)
             yield ids
 

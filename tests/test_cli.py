@@ -581,7 +581,6 @@ def test_surface_follows_parent_links(tmp_path):
     )
     ids = [["0"], ["0.0", "0.2"], ["0.2.1", "0.0.0"]]
     assert list(tree.level_ids()) == tree_branch_ids(tree) == ids
-    assert list(tree.level_ids(2)) == ids[:2] and list(tree.level_ids(0)) == []
     assert tree.path_rows(0) == [0, 1, 0]
     assert tree.path_states(0)[1].tolist() == [1e-05, 5e-324, -2.5e-300]
     assert _forced_split(tree) == 2  # the back half is the last level alone
