@@ -400,6 +400,10 @@ def cmd_run(args):
     print("multiple solutions detected: %s" % ("yes" if max(counts) > 1 else "no"))
     if tree.truncated:
         print("branch tree truncated at max_branches=%d" % cfg.max_branches)
+    if tree.step_failures:
+        k = tree.step_failures[0][0]
+        print("step failures: %d, first: step %d, %s"
+              % (len(tree.step_failures), k, tree.quote_failures(k)[0]))
     print("wrote %s" % ", ".join(written))
     return 0
 

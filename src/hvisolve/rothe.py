@@ -33,12 +33,13 @@ coinciding states once per level.
 A step returns its children as one StepLevel record of arrays (states,
 parent rows, segment indices, fluxes).  ``run`` keeps the merged and
 selected rows of it as the tree's level, read-only; no level is stored
-twice.  A branch id is derived from the parent links, never stored: the
-root is ``0`` and a child's id is its parent's id, a dot and its segment
-index (see SolutionTree.level_ids).
+twice, and its failure records name parents by row.  Only
+SolutionTree.level_ids makes branch ids, from the parent links: the root is
+``0`` and a child's id is its parent's id, a dot and its segment index.
 """
 
 import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -142,8 +143,9 @@ class SolutionTree:
     ``levels[k]`` is the StepLevel of the branches kept at step k; a child's
     ``parent`` is a row of level k-1 and its ``segment`` indexes ``tags``,
     the graph's segment tags.  The root level holds the initial state, with
-    parent and segment -1 and flux NaN.  Branch ids are derived from these
-    links by ``level_ids``; the tree stores only its levels.
+    parent and segment -1 and flux NaN.  Records of ``terminated`` and
+    ``step_failures`` at level k hold a ``parent_row`` of level k-1 too;
+    only ``level_ids`` derives branch ids.
     """
 
     mesh: object
@@ -153,16 +155,24 @@ class SolutionTree:
     levels: list = field(default_factory=list)
     truncated: bool = False
     no_solution_level: int | None = None
-    terminated: list = field(default_factory=list)  # (level, branch_id) of dead ends
-    step_failures: list = field(default_factory=list)  # (level, branch_id, case_tag, message)
+    terminated: list = field(default_factory=list)  # (level, parent_row) of dead ends
+    step_failures: list = field(default_factory=list)  # (level, parent_row, case_tag, message)
 
     def level_ids(self):
         """The branch id of each row, one list per level, each derived from
-        the one before; only one level's list is held at a time."""
+        the one before: a child's id is its parent's id, a dot and its
+        segment index.  Only one level's list is held at a time."""
         ids = None
         for level in self.levels:
-            ids = ["0"] if ids is None else _child_ids(ids, level)
+            ids = ["0"] if ids is None else ["%s.%d" % (ids[p], s) for p, s in zip(
+                level.parent.tolist(), level.segment.tolist())]
             yield ids
+
+    def quote_failures(self, level):
+        """Each step failure of ``level`` as ``branch <id>, <case tag>: <message>``."""
+        failures = [f[1:] for f in self.step_failures if f[0] == level]
+        ids = next(itertools.islice(self.level_ids(), level - 1, None)) if failures else None
+        return ["branch %s, %s: %s" % (ids[row], tag, msg) for row, tag, msg in failures]
 
     @property
     def num_levels(self):
@@ -205,8 +215,7 @@ class SolutionTree:
         of the dying level; FloatingPointError on a non-finite state."""
         if not self.completed():
             level = self.no_solution_level
-            quoted = ["branch %s, %s: %s" % (bid, tag, msg)
-                      for k, bid, tag, msg in self.step_failures if k == level]
+            quoted = self.quote_failures(level)
             msg = "%s at step %r of tau=%r (%d step failure%s at that step)" % (
                 "no isolated solution" if quoted else "no solution on any segment",
                 level, self.config.tau, len(quoted), "" if len(quoted) == 1 else "s")
@@ -365,13 +374,6 @@ def rothe_step_all(mesh, graph, parents, tau, f_k=None, failures=None):
     return StepLevel(states, rows, np.array(segs, dtype=np.intp), np.array(flux, dtype=float))
 
 
-def _child_ids(parent_ids, level):
-    """The branch id of each row of ``level``: the id of its parent, a row of
-    the level whose ids are ``parent_ids``, a dot and its segment index."""
-    return ["%s.%d" % (parent_ids[p], s)
-            for p, s in zip(level.parent.tolist(), level.segment.tolist())]
-
-
 def _merge_duplicates(states):
     """Indices of the rows of ``states`` kept, in order, when each row within
     DEDUPE_TOL (max norm) of an earlier kept row is dropped.
@@ -417,8 +419,8 @@ def run(config, mesh, graph, u0, f=None, branch_policy="all"):
 
     Forcing is averaged over each step interval (a zero vector when f is
     None).  Each level is stepped in one call, all of its branches at once.
-    Branches that admit no successor are terminated and recorded; if every
-    branch dies the tree stops early with ``no_solution_level`` set.  The
+    Dead ends and step failures are recorded by parent row; if every branch
+    dies the tree stops early with ``no_solution_level`` set.  The
     children of a level are merged (corner solutions, states reached from
     two parents) before the branch policy picks among them.
     """
@@ -430,17 +432,16 @@ def run(config, mesh, graph, u0, f=None, branch_policy="all"):
     root = StepLevel(project_initial(mesh, u0)[None, :], np.array([-1]), np.array([-1]),
                      np.array([np.nan]))
     tree.levels.append(root.take([0]))
-    (parent_ids,) = tree.level_ids()  # only the newest level's ids are kept
 
     for k in range(1, config.num_steps + 1):
         f_k = zero if f is None else clement_average(f, config.tau, k)
         fails = []
-        step = rothe_step_all(mesh, graph, tree.levels[-1].states, config.tau, f_k, failures=fails)
-        tree.step_failures.extend((k, parent_ids[row], tag, msg) for row, tag, msg in fails)
+        parents = tree.levels[-1]
+        step = rothe_step_all(mesh, graph, parents.states, config.tau, f_k, failures=fails)
+        tree.step_failures.extend((k,) + fail for fail in fails)
         stepped = set(step.parent.tolist())
-        if len(stepped) < len(parent_ids):
-            tree.terminated.extend((k, bid) for row, bid in enumerate(parent_ids)
-                                   if row not in stepped)
+        if len(stepped) < len(parents):
+            tree.terminated.extend((k, row) for row in range(len(parents)) if row not in stepped)
         if not len(step):
             tree.no_solution_level = k
             break
@@ -448,9 +449,7 @@ def run(config, mesh, graph, u0, f=None, branch_policy="all"):
         if len(kept) > config.max_branches:
             kept = kept[: config.max_branches]
             tree.truncated = True
-        level = step.take(kept)
-        tree.levels.append(level)
-        parent_ids = _child_ids(parent_ids, level)
+        tree.levels.append(step.take(kept))
     return tree
 
 

@@ -312,6 +312,17 @@ def brute_force_bv2(values, norm):
     return best
 
 
+def schur_parallel_j1(g):
+    """Breakpoints and (c2, c1, c0) pieces of a continuous potential: j1 up to
+    r = 3, then a piece whose derivative has the Schur line's slope -g on
+    [3, 4], past the reach of u0 = 1.5 (j1's flux is never negative), then
+    constant.  Every parent of every level of a run with Schur complement g
+    records one parallel-segment failure, and the run survives them."""
+    c2, c1, c0 = -g / 2, 3 * g, 0.5 - 4.5 * g
+    return [0.0, 1.0, 3.0, 4.0], [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.0, 0.0, 0.5),
+                                  (c2, c1, c0), (0.0, 0.0, (c2 * 4.0 + c1) * 4.0 + c0)]
+
+
 def random_potential(rng, max_breaks=3, max_curvature=0.8):
     """Random continuous piecewise-quadratic potential with affine tails."""
     n_breaks = int(rng.integers(1, max_breaks + 1))

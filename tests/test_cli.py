@@ -19,7 +19,7 @@ from hvisolve import (
     run,
     trajectory_rows,
 )
-from hvisolve import cli
+from hvisolve import cli, rothe
 from hvisolve.cli import (
     ConfigError,
     build_parser,
@@ -29,7 +29,7 @@ from hvisolve.cli import (
     write_trajectory,
 )
 from hvisolve.rothe import StepLevel
-from oracles import tree_branch_ids
+from oracles import schur_parallel_j1, tree_branch_ids
 
 
 def _read_csv(path):
@@ -141,6 +141,24 @@ def test_run_failure_quotes_the_dying_step(tmp_path, capsys, pieces, failure):
     assert capsys.readouterr().err == (
         "numerical failure: no isolated solution at step 1 of tau=0.08333333333333333 "
         "(1 step failure at that step): branch 0, a0: %s\n" % failure)
+
+
+def test_run_reports_surviving_step_failures(tmp_path, capsys):
+    # the run names how many step failures it survived and quotes the first
+    # as require_solved quotes those of a dying level
+    breakpoints, pieces = schur_parallel_j1(rothe._schur_operator(10, 0.1, 0.05).g)
+    code = _run_cli("run", "--potential", "custom",
+                    "--breakpoints=" + ",".join(map(repr, breakpoints)),
+                    "--pieces=" + ";".join(":".join(map(repr, p)) for p in pieces),
+                    "--nx", "10", "--dt", "0.05", "--T", "0.3",
+                    "--u0", "const:1.5", "--policy", "all", "--max-branches", "128",
+                    "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[2] == (
+        "step failures: 12, first: step 1, branch 0, a4: "
+        "no solution: segment parallel to the Schur line, flux offset -6.919403588631067")
+    assert _run_cli("run", *J2_SMALL, "--out", str(tmp_path / "o")) == 0
+    assert "step failures" not in capsys.readouterr().out
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the current public API."""
+"""Every demo script, and the README's python code, runs to completion against
+the current public API."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,12 +13,26 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(demo, tmp_path):
+def _run_script(script, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, str(script)], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    _run_script(demo, tmp_path)
+
+
+def test_readme_python_blocks_run(tmp_path):
+    # the library quick start runs as written, so the API it shows cannot drift
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                        re.DOTALL | re.MULTILINE)
+    assert blocks
+    script = tmp_path / "readme.py"
+    script.write_text("\n".join(blocks))
+    _run_script(script, tmp_path)

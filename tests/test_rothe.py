@@ -25,11 +25,13 @@ from hvisolve import (
 from hvisolve import rothe
 from hvisolve.nonsmooth import MEMBERSHIP_TOL
 from oracles import (
+    branch_id,
     check_tree,
     exact_step,
     greedy_merge_indices,
     interpolant_gap,
     random_potential,
+    schur_parallel_j1,
     schur_scan_solutions,
     to_dense,
     tree_branch_ids,
@@ -204,18 +206,34 @@ def test_stacked_step_reports_failures_by_parent_row():
         assert lone == [(0,) + failures[row][1:]]
 
 
+def _hand_level(parent, segment):
+    states = np.arange(2.0 * len(parent)).reshape(-1, 2)
+    return rothe.StepLevel(states, np.array(parent), np.array(segment),
+                           np.full(len(parent), np.nan))
+
+
 def test_require_solved_quotes_the_dying_level():
+    # the failure records name parent rows; the quote gives each row's id
     tree = rothe.SolutionTree(
-        mesh=Mesh1D(2, 0.5), config=RotheConfig(tau=0.5, num_steps=2), policy="all",
+        mesh=Mesh1D(2, 0.5), config=RotheConfig(tau=0.5, num_steps=3), policy="all",
         tags=["a0"], no_solution_level=2,
-        step_failures=[(1, "0", "a0", "early")] + [(2, "0.%d" % i, "a0", "late %d" % i)
-                                                  for i in range(5)])
+        levels=[_hand_level([-1], [-1]), _hand_level([0] * 5, range(5))],
+        step_failures=[(1, 0, "a0", "early")] + [(2, i, "a0", "late %d" % i) for i in range(5)])
     with pytest.raises(rothe.NoSolutionError) as err:
         tree.require_solved()
     assert str(err.value) == (
         "no isolated solution at step 2 of tau=0.5 (5 step failures at that step): "
         "branch 0.0, a0: late 0; branch 0.1, a0: late 1; branch 0.2, a0: late 2; and 2 more")
+    # a deeper dying level: its parents' ids descend through rows of level 1
+    tree.levels.append(_hand_level([4, 1, 4], [2, 0, 7]))
     tree.no_solution_level = 3
+    tree.step_failures += [(3, 2, "v1", "deep"), (3, 0, "a0", "deeper")]
+    with pytest.raises(rothe.NoSolutionError) as err:
+        tree.require_solved()
+    assert str(err.value) == (
+        "no isolated solution at step 3 of tau=0.5 (2 step failures at that step): "
+        "branch 0.4.7, v1: deep; branch 0.4.2, a0: deeper")
+    tree.step_failures = tree.step_failures[:6]
     with pytest.raises(rothe.NoSolutionError) as err:
         tree.require_solved()
     assert str(err.value) == (
@@ -230,33 +248,46 @@ def test_run_records_dead_tree():
     tree = run(cfg, mesh, graph, lambda x: 2.0)
     assert not tree.completed()
     assert tree.no_solution_level == 1
-    assert tree.terminated == [(1, "0")]
+    assert tree.terminated == [(1, 0)]
     assert tree.step_failures
 
 
-def test_step_failures_name_every_parent_at_every_level():
-    # j1 up to r = 3, then a piece whose derivative has the Schur line's slope -g
-    # on [3, 4], past the reach of u0 = 1.5 (j1's flux is never negative), then
-    # constant: every parent of every level records one parallel-segment failure.
+def _parallel_segment_run():
     mesh, tau = Mesh1D.uniform(10), 0.05
     g = rothe._schur_operator(mesh.n, float(mesh.dx), tau).g
-    c2, c1, c0 = -g / 2, 3 * g, 0.5 - 4.5 * g
-    pot = PiecewiseQuadraticPotential(
-        [0.0, 1.0, 3.0, 4.0],
-        [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.0, 0.0, 0.5), (c2, c1, c0),
-         (0.0, 0.0, (c2 * 4.0 + c1) * 4.0 + c0)])
-    graph = clarke_subdifferential(pot)
+    graph = clarke_subdifferential(PiecewiseQuadraticPotential(*schur_parallel_j1(g)))
     tree = run(RotheConfig.from_step(tau, 0.3, max_branches=128), mesh, graph,
                lambda x: 1.5, branch_policy="all")
-    assert tree.completed() and tree.terminated == [] and tree.max_branch_count > 2
     parallel = [tree.tags[i] for i, seg in enumerate(graph.segments)
                 if getattr(seg, "slope", None) == -g]
+    return tree, parallel
+
+
+def test_step_failures_name_every_parent_at_every_level():
+    tree, parallel = _parallel_segment_run()
+    assert tree.completed() and tree.terminated == [] and tree.max_branch_count > 2
     assert len(parallel) == 1
-    ids = tree_branch_ids(tree)
-    want = [(k, bid, parallel[0]) for k in range(1, tree.num_levels) for bid in ids[k - 1]]
+    want = [(k, row, parallel[0]) for k in range(1, tree.num_levels)
+            for row in range(len(tree.levels[k - 1]))]
     assert [f[:3] for f in tree.step_failures] == want
     assert all(f[3].startswith("no solution: segment parallel") for f in tree.step_failures)
     assert len(want) > tree.num_levels  # some levels branch: ids well below the root's "0"
+    ids = list(tree.level_ids())
+    for k, row, _, _ in tree.step_failures:  # the parent row's id, by the oracle's own walk
+        assert branch_id(tree, k - 1, row) == ids[k - 1][row]
+
+
+def test_run_derives_no_branch_ids(monkeypatch):
+    # ids are made for output and error messages only, never while stepping
+    def refuse(self):
+        raise AssertionError("run() derived branch ids")
+
+    monkeypatch.setattr(rothe.SolutionTree, "level_ids", refuse)
+    tree = run(RotheConfig.from_step(0.05, 0.3, max_branches=128), Mesh1D.uniform(10),
+               clarke_subdifferential(potential_j1()), lambda x: 1.5, branch_policy="all")
+    assert tree.completed() and tree.max_branch_count > 1
+    tree, _ = _parallel_segment_run()
+    assert tree.completed() and len(tree.step_failures) > tree.num_levels
 
 
 def test_corner_solution_reported_twice_and_merged_once():
