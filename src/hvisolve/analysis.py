@@ -301,19 +301,18 @@ def apriori_bound_suite(runs):
 
 @dataclass
 class StudyProblem:
-    """One fixed space discretization plus data, solved over several steps."""
+    """One fixed space discretization plus unforced data, solved over several steps."""
 
     mesh: object
     graph: object
     u0: object
-    f: object = None
     policy: str = "first"
     horizon: float = 1.0
-    max_branches: int = 64
+    max_branches: int = RotheConfig.max_branches
 
     def solve(self, tau):
         config = RotheConfig.from_step(tau, self.horizon, max_branches=self.max_branches)
-        return run(config, self.mesh, self.graph, self.u0, self.f, self.policy).require_solved()
+        return run(config, self.mesh, self.graph, self.u0, None, self.policy).require_solved()
 
 
 @dataclass
@@ -327,7 +326,6 @@ class ConvergenceRow:
 @dataclass
 class ConvergenceTable:
     rows: list
-    reference_tau: float
     branch_mismatch: bool = False
 
     CSV_HEADER = ["tau", "err_CH", "err_L2V", "branch_count"]
@@ -369,7 +367,7 @@ def convergence_study(problem, tau_list, reference_tau):
         err_l2v = math.sqrt(reference_tau * kit.v_sq(diff).sum())
         rows.append(ConvergenceRow(tau, float(err_ch), err_l2v, tree.max_branch_count))
     mismatch = len({r.branch_count for r in rows} | {ref_tree.max_branch_count}) > 1
-    return ConvergenceTable(rows, reference_tau, branch_mismatch=mismatch)
+    return ConvergenceTable(rows, branch_mismatch=mismatch)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ class ExperimentConfig:
     u0: str = field(default="const:2",
                     metadata={"help": "initial datum: const:VALUE or expr:EXPRESSION in x"})
     policy: str = field(default="all", metadata={"choices": BRANCH_POLICIES})
-    max_branches: int = 64
+    max_branches: int = RotheConfig.max_branches
     out: str = field(default="hvi_out",
                      metadata={"help": "output directory (HVI_OUT env var overrides)"})
 
@@ -106,8 +106,9 @@ def _config_checked(build, *args, **kw):
         raise ConfigError(str(err)) from err
 
 
-def read_kv_file(path):
-    """key = value lines; '#' starts a comment; values stay strings."""
+def read_kv_file(path, casts, what):
+    """key = value lines ('#' starts a comment), each value cast by ``casts[key]``;
+    a malformed line is reported before any key not in ``casts``, an unknown ``what``."""
     out = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -117,21 +118,21 @@ def read_kv_file(path):
             raise ConfigError("malformed config line: %r" % raw)
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
+    for key, value in out.items():
+        if key not in casts:
+            raise ConfigError("unknown %s %r" % (what, key))
+        try:
+            out[key] = casts[key](value)
+        except ValueError as err:
+            raise ConfigError("bad value for %r: %s" % (key, err)) from err
     return out
 
 
 def merge_config(args):
     """defaults < config file < preset < explicit flags."""
-    settings = {f.name: f for f in fields(ExperimentConfig)}
-    merged = {}
-    if getattr(args, "config", None):
-        for key, value in read_kv_file(args.config).items():
-            if key not in settings:
-                raise ConfigError("unknown config key %r" % key)
-            try:
-                merged[key] = settings[key].type(value)
-            except ValueError as err:
-                raise ConfigError("bad value for %r: %s" % (key, err)) from err
+    settings = {f.name: f.type for f in fields(ExperimentConfig)}
+    config = getattr(args, "config", None)
+    merged = read_kv_file(config, settings, "config key") if config else {}
     if getattr(args, "preset", None):
         if args.preset not in PRESETS:
             raise ConfigError("unknown preset %r" % args.preset)
@@ -375,9 +376,16 @@ pause -1 "surface of u(x,t); press enter"
 # subcommands
 
 def _solve(cfg, grid, policy):
-    graph = parse_potential(cfg)
-    u0 = parse_u0(cfg.u0)
-    return run(grid, cfg.mesh(), graph, u0, f=None, branch_policy=policy).require_solved()
+    tree = run(grid, cfg.mesh(), parse_potential(cfg), parse_u0(cfg.u0), branch_policy=policy)
+    return tree.require_solved()
+
+
+def _report_failures(tree, label=""):
+    """Print how many step failures the solved ``tree`` recorded, quoting the first."""
+    if tree.step_failures:
+        k = tree.step_failures[0][0]
+        print("step failures%s: %d, first: step %d, %s"
+              % (label, len(tree.step_failures), k, tree.quote_failures(k)[0]))
 
 
 def cmd_run(args):
@@ -400,10 +408,7 @@ def cmd_run(args):
     print("multiple solutions detected: %s" % ("yes" if max(counts) > 1 else "no"))
     if tree.truncated:
         print("branch tree truncated at max_branches=%d" % cfg.max_branches)
-    if tree.step_failures:
-        k = tree.step_failures[0][0]
-        print("step failures: %d, first: step %d, %s"
-              % (len(tree.step_failures), k, tree.quote_failures(k)[0]))
+    _report_failures(tree)
     print("wrote %s" % ", ".join(written))
     return 0
 
@@ -422,6 +427,8 @@ def cmd_branches(args):
     write_csv(outdir / "spread.csv", ["t", "alpha_min", "alpha_max", "spread"], rows)
     spread = float(np.max(hi - lo))
     print("max boundary spread between extreme branches: %r" % spread)
+    _report_failures(tree_min, " (min_boundary)")
+    _report_failures(tree_max, " (max_boundary)")
     print("wrote trajectory_min.csv, trajectory_max.csv, spread.csv")
     return 0
 
@@ -458,14 +465,7 @@ def cmd_converge(args):
 
 def cmd_check(args):
     keys = {f.name for f in fields(AbstractConstants)} - {"d_sigma"} | {"d", "sigma"}
-    values = {}
-    for key, val in read_kv_file(args.constants).items():
-        if key not in keys:
-            raise ConfigError("unknown constant %r" % key)
-        try:
-            values[key] = float(val)
-        except ValueError as err:
-            raise ConfigError("bad value for %r: %s" % (key, err)) from err
+    values = read_kv_file(args.constants, dict.fromkeys(keys, float), "constant")
     if ("d" in values) != ("sigma" in values):
         raise ConfigError("d and sigma must be given together")
     d_sigma = (values.pop("d"), values.pop("sigma")) if "d" in values else None

@@ -17,6 +17,8 @@ import numpy as np
 MEMBERSHIP_TOL = 1e-12
 # Relative tolerance for value agreement of adjacent pieces at a breakpoint.
 CONTINUITY_RTOL = 1e-12
+# Relative derivative jump at a breakpoint above which a vertical segment fills it.
+JUMP_RTOL = 1e-12
 
 
 class PotentialError(ValueError):
@@ -155,7 +157,7 @@ def clarke_subdifferential(j):
             left = segments[-1].value(r)
             right = 2.0 * c2 * r + c1
             scale = max(1.0, abs(left), abs(right))
-            if abs(left - right) > 1e-12 * scale:
+            if abs(left - right) > JUMP_RTOL * scale:
                 segments.append(VerticalSegment(r, min(left, right), max(left, right)))
         segments.append(AffineSegment(cuts[i], cuts[i + 1], 2.0 * c2, c1))
     return SubdifferentialGraph(segments)

@@ -150,11 +150,9 @@ class SolutionTree:
 
     mesh: object
     config: RotheConfig
-    policy: str
     tags: list
     levels: list = field(default_factory=list)
     truncated: bool = False
-    no_solution_level: int | None = None
     terminated: list = field(default_factory=list)  # (level, parent_row) of dead ends
     step_failures: list = field(default_factory=list)  # (level, parent_row, case_tag, message)
 
@@ -185,8 +183,13 @@ class SolutionTree:
     def max_branch_count(self):
         return max(self.branch_counts())
 
+    @property
+    def no_solution_level(self):
+        """The step at which every branch died, the level count; None once completed."""
+        return None if self.completed() else self.num_levels
+
     def completed(self):
-        return self.no_solution_level is None and self.num_levels == self.config.num_steps + 1
+        return self.num_levels == self.config.num_steps + 1
 
     def path_rows(self, leaf_index=0):
         """Row of each level on the root-to-leaf path, following parent links
@@ -407,11 +410,8 @@ def _select(states, kept, policy):
         return kept
     if policy == "first":
         return kept[:1]
-    if policy == "min_boundary":
-        return kept[[states[kept, -1].argmin()]]
-    if policy == "max_boundary":
-        return kept[[states[kept, -1].argmax()]]
-    raise ValueError("unknown branch policy %r" % (policy,))
+    bounds = states[kept, -1]
+    return kept[[bounds.argmin() if policy == "min_boundary" else bounds.argmax()]]
 
 
 def run(config, mesh, graph, u0, f=None, branch_policy="all"):
@@ -420,7 +420,7 @@ def run(config, mesh, graph, u0, f=None, branch_policy="all"):
     Forcing is averaged over each step interval (a zero vector when f is
     None).  Each level is stepped in one call, all of its branches at once.
     Dead ends and step failures are recorded by parent row; if every branch
-    dies the tree stops early with ``no_solution_level`` set.  The
+    dies the tree stops early, at ``no_solution_level``.  The
     children of a level are merged (corner solutions, states reached from
     two parents) before the branch policy picks among them.
     """
@@ -428,7 +428,7 @@ def run(config, mesh, graph, u0, f=None, branch_policy="all"):
         raise ValueError("unknown branch policy %r" % (branch_policy,))
     zero = np.zeros(mesh.n)
 
-    tree = SolutionTree(mesh=mesh, config=config, policy=branch_policy, tags=segment_tags(graph))
+    tree = SolutionTree(mesh=mesh, config=config, tags=segment_tags(graph))
     root = StepLevel(project_initial(mesh, u0)[None, :], np.array([-1]), np.array([-1]),
                      np.array([np.nan]))
     tree.levels.append(root.take([0]))
@@ -443,7 +443,6 @@ def run(config, mesh, graph, u0, f=None, branch_policy="all"):
         if len(stepped) < len(parents):
             tree.terminated.extend((k, row) for row in range(len(parents)) if row not in stepped)
         if not len(step):
-            tree.no_solution_level = k
             break
         kept = _select(step.states, _merge_duplicates(step.states), branch_policy)
         if len(kept) > config.max_branches:

@@ -143,21 +143,38 @@ def test_run_failure_quotes_the_dying_step(tmp_path, capsys, pieces, failure):
         "(1 step failure at that step): branch 0, a0: %s\n" % failure)
 
 
+def _parallel_piece_flags():
+    """j1 plus a piece parallel to the Schur line: every parent of every level
+    of a run records one step failure (see oracles.schur_parallel_j1)."""
+    breakpoints, pieces = schur_parallel_j1(rothe._schur_operator(10, 0.1, 0.05).g)
+    return ["--potential", "custom", "--breakpoints=" + ",".join(map(repr, breakpoints)),
+            "--pieces=" + ";".join(":".join(map(repr, p)) for p in pieces),
+            "--nx", "10", "--dt", "0.05", "--T", "0.3", "--u0", "const:1.5"]
+
+
+PARALLEL_FAILURE = ("step 1, branch 0, a4: no solution: segment parallel to the Schur line, "
+                    "flux offset -6.919403588631067")
+
+
 def test_run_reports_surviving_step_failures(tmp_path, capsys):
     # the run names how many step failures it survived and quotes the first
     # as require_solved quotes those of a dying level
-    breakpoints, pieces = schur_parallel_j1(rothe._schur_operator(10, 0.1, 0.05).g)
-    code = _run_cli("run", "--potential", "custom",
-                    "--breakpoints=" + ",".join(map(repr, breakpoints)),
-                    "--pieces=" + ";".join(":".join(map(repr, p)) for p in pieces),
-                    "--nx", "10", "--dt", "0.05", "--T", "0.3",
-                    "--u0", "const:1.5", "--policy", "all", "--max-branches", "128",
-                    "--out", str(tmp_path / "o"))
+    code = _run_cli("run", *_parallel_piece_flags(), "--policy", "all",
+                    "--max-branches", "128", "--out", str(tmp_path / "o"))
     assert code == 0
     assert capsys.readouterr().out.splitlines()[2] == (
-        "step failures: 12, first: step 1, branch 0, a4: "
-        "no solution: segment parallel to the Schur line, flux offset -6.919403588631067")
+        "step failures: 12, first: " + PARALLEL_FAILURE)
     assert _run_cli("run", *J2_SMALL, "--out", str(tmp_path / "o")) == 0
+    assert "step failures" not in capsys.readouterr().out
+
+
+def test_branches_reports_step_failures_of_each_extreme_run(tmp_path, capsys):
+    # each extreme chain survives one failure per level, quoted as run quotes them
+    assert _run_cli("branches", *_parallel_piece_flags(), "--out", str(tmp_path / "o")) == 0
+    assert capsys.readouterr().out.splitlines()[1:3] == [
+        "step failures (min_boundary): 6, first: " + PARALLEL_FAILURE,
+        "step failures (max_boundary): 6, first: " + PARALLEL_FAILURE]
+    assert _run_cli("branches", *J2_SMALL, "--out", str(tmp_path / "o")) == 0
     assert "step failures" not in capsys.readouterr().out
 
 
@@ -376,6 +393,15 @@ def test_config_file_error_messages(tmp_path, capsys, text, message):
     assert capsys.readouterr().err == "config error: %s\n" % message
 
 
+@pytest.mark.parametrize("argv", [["run", "--config"], ["check", "--constants"]])
+def test_kv_file_malformed_line_comes_before_unknown_keys(tmp_path, capsys, monkeypatch, argv):
+    # every line of a key=value file is read before any key is checked
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kv.txt").write_text("foo = 1\nnonsense\n")
+    assert _run_cli(*argv, "kv.txt") == 1
+    assert capsys.readouterr().err == "config error: malformed config line: 'nonsense'\n"
+
+
 def test_u0_expression(tmp_path):
     out = tmp_path / "o"
     code = _run_cli("run", "--potential", "j2", "--nx", "10", "--dt", "0.05",
@@ -588,7 +614,7 @@ def test_surface_follows_parent_links(tmp_path):
         return StepLevel(np.array(states), np.array(parent), np.array(segment), np.array(flux))
 
     tree = SolutionTree(
-        mesh=Mesh1D.uniform(3), config=RotheConfig(tau=0.1, num_steps=2), policy="all",
+        mesh=Mesh1D.uniform(3), config=RotheConfig(tau=0.1, num_steps=2),
         tags=["a0", "v1", "a2"],
         levels=[
             level([[2.0, 1 / 3, -0.0]], [-1], [-1], [np.nan]),

@@ -213,12 +213,13 @@ def _hand_level(parent, segment):
 
 
 def test_require_solved_quotes_the_dying_level():
-    # the failure records name parent rows; the quote gives each row's id
+    # the failure records name parent rows; the quote gives each row's id.
+    # Two of four levels: every branch died at step 2, the level count.
     tree = rothe.SolutionTree(
-        mesh=Mesh1D(2, 0.5), config=RotheConfig(tau=0.5, num_steps=3), policy="all",
-        tags=["a0"], no_solution_level=2,
+        mesh=Mesh1D(2, 0.5), config=RotheConfig(tau=0.5, num_steps=3), tags=["a0"],
         levels=[_hand_level([-1], [-1]), _hand_level([0] * 5, range(5))],
         step_failures=[(1, 0, "a0", "early")] + [(2, i, "a0", "late %d" % i) for i in range(5)])
+    assert tree.no_solution_level == 2 and not tree.completed()
     with pytest.raises(rothe.NoSolutionError) as err:
         tree.require_solved()
     assert str(err.value) == (
@@ -226,7 +227,7 @@ def test_require_solved_quotes_the_dying_level():
         "branch 0.0, a0: late 0; branch 0.1, a0: late 1; branch 0.2, a0: late 2; and 2 more")
     # a deeper dying level: its parents' ids descend through rows of level 1
     tree.levels.append(_hand_level([4, 1, 4], [2, 0, 7]))
-    tree.no_solution_level = 3
+    assert tree.no_solution_level == 3 and not tree.completed()
     tree.step_failures += [(3, 2, "v1", "deep"), (3, 0, "a0", "deeper")]
     with pytest.raises(rothe.NoSolutionError) as err:
         tree.require_solved()
@@ -238,6 +239,8 @@ def test_require_solved_quotes_the_dying_level():
         tree.require_solved()
     assert str(err.value) == (
         "no solution on any segment at step 3 of tau=0.5 (0 step failures at that step)")
+    tree.levels.append(_hand_level([0], [0]))  # the last step: the tree is complete
+    assert tree.no_solution_level is None and tree.require_solved() is tree
 
 
 def test_run_records_dead_tree():
