@@ -12,7 +12,7 @@ difference taken after the map, so no Gram-matrix cancellation enters.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,21 +65,30 @@ class MeshNorms:
 
     def h(self, c):
         """L2 norm of the P1 function with nodal coefficients c, or of each stack row."""
-        return np.sqrt(_quadratic_form(self.M, c))
+        return self.h_and_action(c)[0]
+
+    def h_and_action(self, c):
+        """``h(c)`` and the action vector M c it is computed from: one M
+        product serves the H norms and, through ``whiten``, the dual ones."""
+        action = self.M.matvec(c)
+        return np.sqrt(_quadratic_form(c, action)), action
 
     def v_sq(self, c):
         """Squared full H1 norm c^T (M+K) c, of a vector or of each stack row."""
-        return _quadratic_form(self.MK, c)
+        return _quadratic_form(c, self.MK.matvec(c))
 
     def whiten(self, g):
         """D^{-1/2} L^{-1} g for an action vector, or for each column of an
         (n, m) array, returned as m rows."""
-        return solve_tridiagonal(self.L, g).T / self.sqrt_d
+        y = solve_tridiagonal(self.L, g).T
+        y /= self.sqrt_d
+        return y
 
 
-def _quadratic_form(a, c):
+def _quadratic_form(c, ac):
+    """c . ac, of a vector or of each stack row, with ac = A c."""
     # np.maximum lets a NaN through: an overflowed state never reads as norm 0
-    return np.maximum(0.0, np.einsum("...i,...i->...", c, a.matvec(c)))
+    return np.maximum(0.0, np.einsum("...i,...i->...", c, ac))
 
 
 def _euclidean(y):
@@ -92,12 +101,15 @@ def interpolant_norms(mesh, states, tau):
     with step ``tau``, in closed form over the snapshot rows."""
     kit = MeshNorms(mesh)
     states = np.asarray(states, dtype=float)
-    h_norms = kit.h(states)
     l2V = math.sqrt(tau * kit.v_sq(states[1:]).sum())
-    y = kit.whiten(kit.M.matvec(states).T)
-    dy = np.diff(y, axis=0) / tau
-    l2Vstar_du = math.sqrt(tau * np.einsum("ij,ij->", dy, dy))
+    h_norms, action = kit.h_and_action(states)
+    del states  # its last use: the whitening solve copies the action stack
+    y = kit.whiten(action.T)
+    del action
     bv2 = bv2_seminorm(y, _euclidean)
+    dy = np.diff(y, axis=0)
+    dy /= tau
+    l2Vstar_du = math.sqrt(tau * np.einsum("ij,ij->", dy, dy))
     return NormReport(l2V, float(h_norms[1:].max()), float(h_norms.max()), l2Vstar_du, bv2)
 
 
@@ -325,8 +337,13 @@ class ConvergenceRow:
 
 @dataclass
 class ConvergenceTable:
+    """The error rows, plus each run's step failures as (tau, count, first
+    quoted failure), the coarse runs in row order and then the reference;
+    the failures stay out of ``csv_rows``."""
+
     rows: list
     branch_mismatch: bool = False
+    failures: list = field(default_factory=list)
 
     CSV_HEADER = ["tau", "err_CH", "err_L2V", "branch_count"]
 
@@ -357,17 +374,19 @@ def convergence_study(problem, tau_list, reference_tau):
     kit = MeshNorms(problem.mesh)
     ref_tree = problem.solve(reference_tau)
     ref_states = np.array(ref_tree.path_states(0))
-    rows = []
+    rows, failures = [], []
     for tau, ratio in zip(taus, ratios):
         tree = problem.solve(tau)
+        failures.append((tau, *tree.failure_summary()))
         states = np.array(tree.path_states(0))
         err_ch = kit.h(states[1:] - ref_states[ratio::ratio]).max()
         # coarse interval k = ceil(m/ratio) holds reference interval m
         diff = np.repeat(states[1:], ratio, axis=0) - ref_states[1:]
         err_l2v = math.sqrt(reference_tau * kit.v_sq(diff).sum())
         rows.append(ConvergenceRow(tau, float(err_ch), err_l2v, tree.max_branch_count))
+    failures.append((reference_tau, *ref_tree.failure_summary()))
     mismatch = len({r.branch_count for r in rows} | {ref_tree.max_branch_count}) > 1
-    return ConvergenceTable(rows, branch_mismatch=mismatch)
+    return ConvergenceTable(rows, branch_mismatch=mismatch, failures=failures)
 
 
 # ---------------------------------------------------------------------------

@@ -107,9 +107,12 @@ def _config_checked(build, *args, **kw):
 
 
 def read_kv_file(path, casts, what):
-    """key = value lines ('#' starts a comment), each value cast by ``casts[key]``;
-    a malformed line is reported before any key not in ``casts``, an unknown ``what``."""
-    out = {}
+    """key = value lines ('#' starts a comment), each value cast by ``casts[key]``.
+
+    A malformed line is reported first, then a key given twice (a repeated
+    ``what``), then, in file order, a key not in ``casts`` (an unknown
+    ``what``) or a value its cast rejects."""
+    out, repeated = {}, []
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -117,7 +120,12 @@ def read_kv_file(path, casts, what):
         if "=" not in line:
             raise ConfigError("malformed config line: %r" % raw)
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            repeated.append(key)
+        out[key] = value.strip()
+    if repeated:
+        raise ConfigError("repeated %s %r" % (what, repeated[0]))
     for key, value in out.items():
         if key not in casts:
             raise ConfigError("unknown %s %r" % (what, key))
@@ -380,12 +388,11 @@ def _solve(cfg, grid, policy):
     return tree.require_solved()
 
 
-def _report_failures(tree, label=""):
-    """Print how many step failures the solved ``tree`` recorded, quoting the first."""
-    if tree.step_failures:
-        k = tree.step_failures[0][0]
-        print("step failures%s: %d, first: step %d, %s"
-              % (label, len(tree.step_failures), k, tree.quote_failures(k)[0]))
+def _report_failures(label, count, first):
+    """Print how many step failures a solved run recorded, quoting the first
+    (see SolutionTree.failure_summary); nothing without any."""
+    if count:
+        print("step failures%s: %d, first: %s" % (label, count, first))
 
 
 def cmd_run(args):
@@ -408,7 +415,7 @@ def cmd_run(args):
     print("multiple solutions detected: %s" % ("yes" if max(counts) > 1 else "no"))
     if tree.truncated:
         print("branch tree truncated at max_branches=%d" % cfg.max_branches)
-    _report_failures(tree)
+    _report_failures("", *tree.failure_summary())
     print("wrote %s" % ", ".join(written))
     return 0
 
@@ -427,8 +434,8 @@ def cmd_branches(args):
     write_csv(outdir / "spread.csv", ["t", "alpha_min", "alpha_max", "spread"], rows)
     spread = float(np.max(hi - lo))
     print("max boundary spread between extreme branches: %r" % spread)
-    _report_failures(tree_min, " (min_boundary)")
-    _report_failures(tree_max, " (max_boundary)")
+    _report_failures(" (min_boundary)", *tree_min.failure_summary())
+    _report_failures(" (max_boundary)", *tree_max.failure_summary())
     print("wrote trajectory_min.csv, trajectory_max.csv, spread.csv")
     return 0
 
@@ -459,6 +466,8 @@ def cmd_converge(args):
               % (row.tau, row.err_CH, row.err_L2V, row.branch_count))
     if table.branch_mismatch:
         print("warning: branch counts differ between runs; errors use the policy branch")
+    for tau, count, first in table.failures:
+        _report_failures(" (tau=%g)" % tau, count, first)
     print("wrote convergence.csv")
     return 0
 

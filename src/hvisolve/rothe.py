@@ -172,6 +172,14 @@ class SolutionTree:
         ids = next(itertools.islice(self.level_ids(), level - 1, None)) if failures else None
         return ["branch %s, %s: %s" % (ids[row], tag, msg) for row, tag, msg in failures]
 
+    def failure_summary(self):
+        """The number of step failures and the first of them, quoted as
+        ``step <k>, branch <id>, <case tag>: <message>`` (None without one)."""
+        if not self.step_failures:
+            return 0, None
+        k = self.step_failures[0][0]
+        return len(self.step_failures), "step %d, %s" % (k, self.quote_failures(k)[0])
+
     @property
     def num_levels(self):
         return len(self.levels)
@@ -350,6 +358,7 @@ def rothe_step_all(mesh, graph, parents, tau, f_k=None, failures=None):
         rhs += np.asarray(f_k, dtype=float)
     y = op.interior.solve(rhs[:, :-1].T).T
     e0 = (rhs[:, -1] - op.coupling * y[:, -1]).tolist()
+    del rhs  # y is all the rest reads: hold as few stack-sized blocks as possible
     table, parallel = _segment_table(graph, op.g)
     rows, segs, r, flux = [], [], [], []
     for row, e in enumerate(e0):
@@ -371,9 +380,10 @@ def rothe_step_all(mesh, graph, parents, tau, f_k=None, failures=None):
 
     rows = np.array(rows, dtype=np.intp)
     r = np.array(r, dtype=float)
-    states = np.empty((len(rows), mesh.n))
-    np.subtract(y.take(rows, axis=0), r[:, None] * op.w, out=states[:, :-1])
-    states[:, -1] = r
+    interior = y[rows]
+    del y  # from here on, the interiors and r*w are the only blocks held
+    interior -= r[:, None] * op.w
+    states = np.concatenate((interior, r[:, None]), axis=1)
     return StepLevel(states, rows, np.array(segs, dtype=np.intp), np.array(flux, dtype=float))
 
 

@@ -140,6 +140,12 @@ def test_conditions_case_b_example():
     assert report.tau0_bc == pytest.approx(2.0)
 
 
+def test_conditions_case_b_needs_alpha_above_c_iota_squared():
+    report = check_conditions(AbstractConstants(alpha=2.0, beta=0.0, c=0.5, iota_norm=2.0))
+    assert not report.aux_b  # alpha == c*iota_norm**2 exactly
+    assert "H_aux B: fails" in report.lines()
+
+
 def test_conditions_beta_zero_gives_unrestricted_step():
     report = check_conditions(AbstractConstants(alpha=1.0, beta=0.0, c=0.3, iota_norm=1.0))
     assert report.aux_b

@@ -178,6 +178,18 @@ def test_branches_reports_step_failures_of_each_extreme_run(tmp_path, capsys):
     assert "step failures" not in capsys.readouterr().out
 
 
+def test_converge_reports_step_failures_of_each_run(tmp_path, capsys):
+    # the piece is parallel at tau=0.05 only: the coarse run survives one
+    # failure per level, the reference run at tau=0.0125 none
+    code = _run_cli("converge", *_parallel_piece_flags(), "--taus", "0.05",
+                    "--reference-tau", "0.0125", "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "step failures (tau=0.05): 6, first: " + PARALLEL_FAILURE, "wrote convergence.csv"]
+    header, rows = _read_csv(tmp_path / "o" / "convergence.csv")
+    assert header == ["tau", "err_CH", "err_L2V", "branch_count"] and len(rows) == 1
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_run_non_finite_norm_is_numerical_failure(tmp_path, capsys):
@@ -402,6 +414,20 @@ def test_kv_file_malformed_line_comes_before_unknown_keys(tmp_path, capsys, monk
     assert capsys.readouterr().err == "config error: malformed config line: 'nonsense'\n"
 
 
+@pytest.mark.parametrize("argv, text, message", [
+    (["run", "--config"], "potential = j2\nnx = abc\nnx = 5\n", "repeated config key 'nx'"),
+    (["check", "--constants"], "alpha = 1\nc = 0.3\nbeta = 0\niota_norm = 1\nd = 1\n"
+     "sigma = 1.5\nd = 2\n", "repeated constant 'd'"),
+    (["run", "--config"], "nx = 5\nnx = 6\nnonsense\n", "malformed config line: 'nonsense'"),
+])
+def test_kv_file_repeated_key_is_config_error(tmp_path, capsys, monkeypatch, argv, text, message):
+    # a later line must not replace an earlier one, not even a bad value
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kv.txt").write_text(text)
+    assert _run_cli(*argv, "kv.txt") == 1
+    assert capsys.readouterr().err == "config error: %s\n" % message
+
+
 def test_u0_expression(tmp_path):
     out = tmp_path / "o"
     code = _run_cli("run", "--potential", "j2", "--nx", "10", "--dt", "0.05",
@@ -418,6 +444,7 @@ def test_u0_expression(tmp_path):
     "const:nan",  # non-finite constant
     "expr:sqrt(x-0.5)",  # fine at x = 0.5, math domain error at the left nodes
     "expr:().__class__.__name__.__len__()",  # attribute access outside the whitelist
+    "expr:1e308*10*x",  # overflows to inf, a config error, not a non-finite state
 ])
 def test_u0_rejects_bad_input(tmp_path, capsys, u0):
     code = _run_cli("run", "--potential", "j2", "--nx", "10", "--dt", "0.05", "--T", "0.2",
@@ -433,10 +460,12 @@ def test_u0_rejects_bad_input(tmp_path, capsys, u0):
     (["--dt", "1e-320"], ""),  # finite, but T/dt overflows
     (["--T", "inf"], ""),
     (["--dt", "1e-300", "--T", "0.5"], ""),  # T/dt is finite but far past 2**53 steps
+    (["--dt", "0.10000000001", "--T", "1"], ""),  # 10 steps end 1e-10 past T
     ([], "nx = abc\n"),
     (["--max-branches", "0"], ""),  # solutions exist; truncation would empty the level
     (["--max-branches", "-3"], ""),
-], ids=["nx-zero", "dt-zero", "dt-nan", "dt-subnormal", "T-inf", "dt-tiny", "config-nx-abc",
+], ids=["nx-zero", "dt-zero", "dt-nan", "dt-subnormal", "T-inf", "dt-tiny", "dt-off-1e-11",
+        "config-nx-abc",
         "max-branches-0", "max-branches-neg"])
 def test_run_rejects_bad_numbers(tmp_path, capsys, flags, config_text):
     cfg = tmp_path / "cfg.txt"

@@ -15,6 +15,7 @@ from hvisolve import (
     assemble_stiffness,
     clarke_subdifferential,
     clement_average,
+    interpolant_norms,
     potential_j1,
     potential_j2,
     project_initial,
@@ -531,6 +532,48 @@ def test_tree_memory_is_its_level_arrays():
     arrays = sum(a.nbytes for level in tree.levels
                  for a in (level.states, level.parent, level.segment, level.flux))
     assert held <= 2 * arrays, (held, arrays)
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes that fn(*args) holds above what was held before, by tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def _wide_stack(mesh, m):
+    # boundary values from 0.4 to 3.6 cross j1's branching range: ~1 child per parent
+    return np.linspace(0.2, 1.8, m)[:, None] * np.linspace(0.5, 2.0, mesh.n)
+
+
+def test_step_scratch_is_bounded_by_its_stack():
+    # Besides its children the step holds at most two (m, n) blocks at a
+    # time: 2.6 blocks here with numpy's fixed ufunc buffers.  Keeping rhs
+    # and y to the end, or copying y to gather from it, passes 4.
+    mesh, graph = Mesh1D.uniform(100), clarke_subdifferential(potential_j1())
+    parents = _wide_stack(mesh, 400)
+    step = rothe_step_all(mesh, graph, parents, 0.0025)  # warm the operator cache
+    assert len(step) >= len(parents)
+    assert _traced_peak(rothe_step_all, mesh, graph, parents, 0.0025) < 4 * parents.nbytes
+
+
+def test_norm_scratch_is_bounded_by_its_path():
+    # The path stack and one M or M+K product with its temporary: 3.4 stacks
+    # here with numpy's buffers.  A second M product of the path, or the
+    # stack kept through the whitening, passes 4.
+    mesh = Mesh1D.uniform(100)
+    path = list(_wide_stack(mesh, 400))
+    stack = len(path) * mesh.n * 8
+    assert _traced_peak(interpolant_norms, mesh, path, 0.01) < 4 * stack
 
 
 def test_run_with_forcing_reaches_discrete_steady_state():
