@@ -25,6 +25,8 @@ from .fem1d import (
 )
 from .rothe import RotheConfig, run
 
+NORM_BLOCK = 32  # path rows read per step of interpolant_norms' walk
+
 
 # ---------------------------------------------------------------------------
 # interpolant norms
@@ -98,12 +100,21 @@ def _euclidean(y):
 
 def interpolant_norms(mesh, states, tau):
     """Norms of the Rothe interpolants of the snapshot path ``states`` (u^0..u^N)
-    with step ``tau``, in closed form over the snapshot rows."""
+    with step ``tau``, in closed form over the snapshot rows.
+
+    The path is read NORM_BLOCK rows at a time, so it is never copied whole:
+    only the M products of its rows, which the whitening needs together, are
+    held as one stack.  Each row's norms have the same bits as from one stack.
+    """
     kit = MeshNorms(mesh)
-    states = np.asarray(states, dtype=float)
-    l2V = math.sqrt(tau * kit.v_sq(states[1:]).sum())
-    h_norms, action = kit.h_and_action(states)
-    del states  # its last use: the whitening solve copies the action stack
+    h_norms, v_sq = np.empty(len(states)), np.empty(len(states))
+    action = np.empty((len(states), mesh.n))
+    for start in range(0, len(states), NORM_BLOCK):
+        rows = slice(start, start + NORM_BLOCK)
+        block = np.asarray(states[rows], dtype=float)
+        h_norms[rows], action[rows] = kit.h_and_action(block)
+        v_sq[rows] = kit.v_sq(block)
+    l2V = math.sqrt(tau * v_sq[1:].sum())
     y = kit.whiten(action.T)
     del action
     bv2 = bv2_seminorm(y, _euclidean)

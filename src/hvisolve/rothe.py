@@ -40,7 +40,6 @@ SolutionTree.level_ids makes branch ids, from the parent links: the root is
 
 import functools
 import itertools
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -56,8 +55,6 @@ from .fem1d import (
     solve_tridiagonal,
 )
 from .nonsmooth import MEMBERSHIP_TOL, VerticalSegment
-
-log = logging.getLogger(__name__)
 
 PARALLEL_RTOL = 1e-12  # |g + slope| <= PARALLEL_RTOL*g: segment parallel to the Schur line
 DEDUPE_TOL = 1e-10  # max-norm distance below which two states of a level are merged
@@ -369,14 +366,11 @@ def rothe_step_all(mesh, graph, parents, tau, f_k=None, failures=None):
                 segs.append(idx)
                 r.append(r0 if vertical else t)
                 flux.append(t if vertical else slope * t + intercept)
-    if parallel:
+    if parallel and failures is not None:
         tags = segment_tags(graph)
         for row, offset in enumerate(e0):
             for idx in parallel:
-                msg = _parallel_message(graph.segments[idx], offset)
-                log.debug("parent %d, segment %s: %s", row, tags[idx], msg)
-                if failures is not None:
-                    failures.append((row, tags[idx], msg))
+                failures.append((row, tags[idx], _parallel_message(graph.segments[idx], offset)))
 
     rows = np.array(rows, dtype=np.intp)
     r = np.array(r, dtype=float)
@@ -424,6 +418,15 @@ def _select(states, kept, policy):
     return kept[[bounds.argmin() if policy == "min_boundary" else bounds.argmax()]]
 
 
+def _spread_by_boundary(states, kept, cap):
+    """``cap`` entries of ``kept``, in their order, at evenly spaced ranks of
+    their boundary values: the lowest, and for a cap above one the highest,
+    are always among them, so a cut level keeps the envelope of the level."""
+    order = np.argsort(states[kept, -1], kind="stable")
+    ranks = np.round(np.linspace(0, len(kept) - 1, cap)).astype(np.intp)
+    return kept[np.sort(order[ranks])]
+
+
 def run(config, mesh, graph, u0, f=None, branch_policy="all"):
     """Step the inclusion over the whole horizon, growing a SolutionTree.
 
@@ -432,7 +435,8 @@ def run(config, mesh, graph, u0, f=None, branch_policy="all"):
     Dead ends and step failures are recorded by parent row; if every branch
     dies the tree stops early, at ``no_solution_level``.  The
     children of a level are merged (corner solutions, states reached from
-    two parents) before the branch policy picks among them.
+    two parents) before the branch policy picks among them; a level beyond
+    ``config.max_branches`` is cut to evenly spaced boundary values.
     """
     if branch_policy not in BRANCH_POLICIES:
         raise ValueError("unknown branch policy %r" % (branch_policy,))
@@ -456,7 +460,7 @@ def run(config, mesh, graph, u0, f=None, branch_policy="all"):
             break
         kept = _select(step.states, _merge_duplicates(step.states), branch_policy)
         if len(kept) > config.max_branches:
-            kept = kept[: config.max_branches]
+            kept = _spread_by_boundary(step.states, kept, config.max_branches)
             tree.truncated = True
         tree.levels.append(step.take(kept))
     return tree

@@ -44,6 +44,14 @@ def test_globally_smooth_quadratic_has_single_affine_segment():
 def test_potential_rejects_discontinuity():
     with pytest.raises(PotentialError):
         PiecewiseQuadraticPotential([1.0], [(0.0, 0.0, 0.0), (0.0, 0.0, 0.3)])
+    with pytest.raises(PotentialError):  # a gap of 1e-9 is far above CONTINUITY_RTOL
+        PiecewiseQuadraticPotential([1.0], [(0.0, 0.0, 0.0), (0.0, 0.0, 1e-9)])
+
+
+def test_small_derivative_jump_gets_a_vertical_segment():
+    # a jump of 1e-9 is far above JUMP_RTOL: the graph must fill it
+    j = PiecewiseQuadraticPotential([1.0], [(0.0, 0.0, 0.0), (0.0, 1e-9, -1e-9)])
+    assert clarke_subdifferential(j).vertical == (VerticalSegment(1.0, 0.0, 1e-9),)
 
 
 def test_potential_rejects_unordered_breakpoints():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hvisolve import (
+    AffineSegment,
     Mesh1D,
     MeshNorms,
     PiecewiseQuadraticPotential,
@@ -119,16 +120,31 @@ def test_step_singular_segment_reported_and_skipped():
 
 def test_step_parallel_segment_classified():
     # Schur line of n=2, dx=1/2, tau=1/12, prev=[2, 2]: xi = 7.25 - 3.875*r;
-    # a segment of slope -3.875 is parallel to it, on it or beside it
+    # a segment of slope -3.875 is parallel to it, on it or beside it, and so
+    # is a slope within PARALLEL_RTOL*g of it, though |g + slope| > PARALLEL_RTOL
     mesh = Mesh1D(2, 0.5)
-    for intercept, verdict in ((7.25, "continuum"), (0.0, "no solution")):
-        pot = PiecewiseQuadraticPotential([], [(-1.9375, intercept, 0.0)])
+    near = -1.9375 * (1 - rothe.PARALLEL_RTOL / 2)
+    assert rothe.PARALLEL_RTOL < abs(3.875 + 2 * near) <= rothe.PARALLEL_RTOL * 3.875
+    for c2, intercept, verdict in ((-1.9375, 7.25, "continuum"), (-1.9375, 0.0, "no solution"),
+                                   (near, 0.0, "no solution")):
+        pot = PiecewiseQuadraticPotential([], [(c2, intercept, 0.0)])
         failures = []
         sols = rothe_step_all(mesh, clarke_subdifferential(pot), np.array([2.0, 2.0]),
                               tau=1 / 12, failures=failures)
         assert len(sols) == 0
         assert len(failures) == 1 and failures[0][:2] == (0, "a0")
         assert verdict in failures[0][2]
+
+
+def test_parallel_message_scale_holds_e0():
+    # the continuum test compares e0 - intercept with PARALLEL_RTOL times the
+    # largest of 1, |e0| and |intercept|: this offset is within it of |e0| only
+    ulp = 2.0 ** -52
+    e0, intercept = -(5e15 + 2500) * ulp, -(5e15 - 2500) * ulp
+    assert rothe.PARALLEL_RTOL * abs(intercept) < abs(e0 - intercept)
+    assert abs(e0 - intercept) <= rothe.PARALLEL_RTOL * abs(e0)
+    seg = AffineSegment(-np.inf, np.inf, -1.0, intercept)
+    assert rothe._parallel_message(seg, e0).startswith("continuum of solutions")
 
 
 def test_singular_segment_does_not_abort_other_segments():
@@ -451,6 +467,22 @@ def test_run_j1_branches_and_extreme_policies_differ():
     assert np.min(hi - lo) >= -1e-12
 
 
+def test_truncation_keeps_the_envelope():
+    # j1 at the bench's settings branches to 99 per level: cut to 64, every
+    # level still holds the lowest and the highest boundary value of the
+    # uncapped tree
+    mesh, graph = Mesh1D.uniform(100), clarke_subdifferential(potential_j1())
+    full, cut = [run(RotheConfig.from_step(0.0025, 0.5, max_branches=cap), mesh, graph,
+                     lambda x: 2.0, branch_policy="all") for cap in (128, 64)]
+    assert not full.truncated and full.max_branch_count > 64
+    assert cut.truncated and cut.max_branch_count == 64 and cut.completed()
+    check_tree(cut, graph)
+    for a, b in zip(full.levels, cut.levels):
+        assert b.states[:, -1].max() == a.states[:, -1].max()
+        assert b.states[:, -1].min() == a.states[:, -1].min()
+        assert np.all(np.diff(b.parent) >= 0)  # kept rows stay in their order
+
+
 def test_extreme_branches_bracket_every_branch():
     # comparison principle: for tau >= dx^2/6, M/tau + K is an M-matrix, so
     # e0 rises with the parent, w <= 0, and the least and greatest roots of
@@ -567,13 +599,12 @@ def test_step_scratch_is_bounded_by_its_stack():
 
 
 def test_norm_scratch_is_bounded_by_its_path():
-    # The path stack and one M or M+K product with its temporary: 3.4 stacks
-    # here with numpy's buffers.  A second M product of the path, or the
-    # stack kept through the whitening, passes 4.
+    # The path's M products and their whitened copy: 2.5 stacks here with a
+    # block's scratch and numpy's buffers.  Copying the path whole passes 3.
     mesh = Mesh1D.uniform(100)
     path = list(_wide_stack(mesh, 400))
     stack = len(path) * mesh.n * 8
-    assert _traced_peak(interpolant_norms, mesh, path, 0.01) < 4 * stack
+    assert _traced_peak(interpolant_norms, mesh, path, 0.01) < 3 * stack
 
 
 def test_run_with_forcing_reaches_discrete_steady_state():
