@@ -33,7 +33,7 @@ def main():
     )
     show(
         "directional growth bound (case C):",
-        AbstractConstants(alpha=0.1, beta=0.5, c=1.0, iota_norm=1.0, d_sigma=(1.0, 1.5)),
+        AbstractConstants(alpha=0.1, beta=0.5, c=1.0, iota_norm=1.0, d=1.0, sigma=1.5),
     )
     show(
         "uniqueness constants supplied (m1 >= m3 |iota|^2):",

@@ -48,7 +48,6 @@ from .rothe import (
     project_initial,
     rothe_step_all,
     run,
-    trajectory_rows,
 )
 
 __version__ = "0.1.0"

@@ -41,11 +41,6 @@ class NormReport:
     l2Vstar_of_derivative: float
     bv2_Vstar: float
 
-    CSV_HEADER = ["l2V", "linfH", "cH", "l2Vstar_du", "bv2"]
-
-    def csv_row(self):
-        return [self.l2V, self.linfH, self.cH, self.l2Vstar_of_derivative, self.bv2_Vstar]
-
 
 class MeshNorms:
     """H, V and V* norms of P1 functions on one mesh.
@@ -56,7 +51,6 @@ class MeshNorms:
     """
 
     def __init__(self, mesh):
-        self.mesh = mesh
         self.M = assemble_mass(mesh)
         self.MK = self.M + assemble_stiffness(mesh)
         # On a symmetric matrix the Thomas multipliers are L's subdiagonal and the pivots
@@ -157,9 +151,9 @@ class AbstractConstants:
     alpha, beta: coercivity of the elliptic operator; a, b: its growth;
     c: growth of the multivalued term; iota_norm: norm of the map into the
     space carrying the multivalued term; p_norm: norm of the factoring map
-    from H (case A), when one exists; d_sigma: (d, sigma) of the directional
-    growth condition (case C); m1, m2, m3: monotonicity constants for the
-    uniqueness criterion.
+    from H (case A), when one exists; d, sigma: the directional growth
+    condition (case C), given together or not at all; m1, m2, m3:
+    monotonicity constants for the uniqueness criterion.
     """
 
     alpha: float
@@ -169,28 +163,29 @@ class AbstractConstants:
     a: float = 0.0
     b: float = 1.0
     p_norm: float | None = None
-    d_sigma: tuple | None = None
+    d: float | None = None
+    sigma: float | None = None
     m1: float | None = None
     m2: float | None = None
     m3: float | None = None
 
     def __post_init__(self):
+        if (self.d is None) != (self.sigma is None):
+            raise ValueError("d and sigma must be given together")
         for name, value in vars(self).items():
-            for v in value if isinstance(value, tuple) else (value,):
-                if v is not None and not math.isfinite(v):
-                    raise ValueError("%s must be finite, got %r" % (name, value))
+            if value is not None and not math.isfinite(value):
+                raise ValueError("%s must be finite, got %r" % (name, value))
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
         if self.c <= 0:
             raise ValueError("c must be positive")
-        if self.d_sigma is not None:
-            d, sigma = self.d_sigma
-            if d < 0:
+        if self.d is not None:
+            if self.d < 0:
                 raise ValueError("d must be nonnegative")
-            if not 1.0 <= sigma < 2.0:
-                raise ValueError("sigma must lie in [1, 2), got %r" % (sigma,))
+            if not 1.0 <= self.sigma < 2.0:
+                raise ValueError("sigma must lie in [1, 2), got %r" % (self.sigma,))
 
 
 @dataclass
@@ -239,7 +234,7 @@ def check_conditions(k: AbstractConstants) -> ConditionReport:
     """
     aux_a = k.p_norm is not None
     aux_b = k.alpha > k.c * k.iota_norm ** 2
-    aux_c = k.d_sigma is not None
+    aux_c = k.d is not None
 
     tau0_a = tau_restr_a = None
     if aux_a:
@@ -349,17 +344,11 @@ class ConvergenceRow:
 @dataclass
 class ConvergenceTable:
     """The error rows, plus each run's step failures as (tau, count, first
-    quoted failure), the coarse runs in row order and then the reference;
-    the failures stay out of ``csv_rows``."""
+    quoted failure), the coarse runs in row order and then the reference."""
 
     rows: list
     branch_mismatch: bool = False
     failures: list = field(default_factory=list)
-
-    CSV_HEADER = ["tau", "err_CH", "err_L2V", "branch_count"]
-
-    def csv_rows(self):
-        return [[r.tau, r.err_CH, r.err_L2V, r.branch_count] for r in self.rows]
 
 
 def convergence_study(problem, tau_list, reference_tau):

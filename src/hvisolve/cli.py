@@ -17,7 +17,7 @@ import shutil
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from itertools import accumulate
 from pathlib import Path
 
@@ -25,7 +25,6 @@ import numpy as np
 
 from .analysis import (
     AbstractConstants,
-    NormReport,
     StudyProblem,
     check_conditions,
     convergence_study,
@@ -39,14 +38,7 @@ from .nonsmooth import (
     potential_j1,
     potential_j2,
 )
-from .rothe import (
-    BRANCH_POLICIES,
-    NoSolutionError,
-    RotheConfig,
-    TRAJECTORY_HEADER,
-    run,
-    trajectory_rows,
-)
+from .rothe import BRANCH_POLICIES, NoSolutionError, RotheConfig, run
 
 
 class ConfigError(ValueError):
@@ -255,7 +247,12 @@ def output_dir(cfg):
 
 
 # ---------------------------------------------------------------------------
-# CSV emission
+# CSV emission: every table's columns are laid out here, and only here
+
+TRAJECTORY_HEADER = ["t", "branch_id", "parent_id", "case_tag"]  # then alpha_1..alpha_n, xi
+NORMS_HEADER = ["l2V", "linfH", "cH", "l2Vstar_du", "bv2"]  # NormReport's fields, in order
+CONVERGENCE_HEADER = ["tau", "err_CH", "err_L2V", "branch_count"]  # ConvergenceRow's fields
+
 
 def write_csv(path, header, rows):
     """Header plus rows, streamed one line at a time from any iterable.
@@ -267,6 +264,29 @@ def write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def trajectory_rows(tree, start=0):
+    """Rows of the branch-trajectory table from level ``start`` on, one per
+    branch per level, yielded lazily: the whole table is never held at once.
+
+    Columns: t, branch_id, parent_id, case_tag, alpha_1..alpha_n, xi.  The
+    root row has case tag ``init`` and empty parent and flux fields.  The ids
+    come from ``tree.level_ids()``, derived from level 0 on whatever
+    ``start`` is; the rows before ``start`` are never built.
+    """
+    ids = tree.level_ids()
+    parent_ids = next(ids)
+    if start == 0:
+        yield [0.0, parent_ids[0], "", "init", *tree.levels[0].states[0].tolist(), ""]
+    for k, branch_ids in enumerate(ids, start=1):
+        if k >= start:
+            level, t = tree.levels[k], k * tree.config.tau
+            for bid, state, parent, seg, flux in zip(
+                    branch_ids, level.states, level.parent.tolist(),
+                    level.segment.tolist(), level.flux.tolist()):
+                yield [t, bid, parent_ids[parent], tree.tags[seg], *state.tolist(), flux]
+        parent_ids = branch_ids
 
 
 # Fork for a back half of this many floats: fork + waitpid of a 36 MB process took
@@ -310,7 +330,7 @@ def write_trajectory(path, tree, surface=None):
     writing fails, neither file is left behind.
     """
     n = tree.mesh.n
-    xs = ["0.0"] + [str(i * float(tree.mesh.dx)) for i in range(1, n + 1)]
+    xs = ["0.0", *map(str, tree.mesh.nodes.tolist())]
     header = TRAJECTORY_HEADER + ["alpha_%d" % i for i in range(1, n + 1)] + ["xi"]
     on_path = tree.path_rows(0) if surface is not None else [-1] * tree.num_levels
     split = _fork_level(tree.branch_counts(), n)
@@ -401,11 +421,11 @@ def cmd_run(args):
     outdir = output_dir(cfg)
     tree = _solve(cfg, grid, cfg.policy)
     report = interpolant_norms(tree.mesh, tree.path_states(0), cfg.dt)
-    if not np.isfinite(report.csv_row()).all():
+    if not np.isfinite(astuple(report)).all():
         raise FloatingPointError("non-finite norm in %r" % (report,))
     write_trajectory(outdir / "trajectory.csv", tree, surface=outdir / "surface.csv")
     (outdir / "plot.gp").write_text(PLOT_SCRIPT)
-    write_csv(outdir / "norms.csv", NormReport.CSV_HEADER, [report.csv_row()])
+    write_csv(outdir / "norms.csv", NORMS_HEADER, [astuple(report)])
     written = ["trajectory.csv", "surface.csv", "norms.csv", "plot.gp"]
     if args.dump_matrices:
         write_matrices(outdir, tree.mesh)
@@ -458,9 +478,10 @@ def cmd_converge(args):
         table = convergence_study(problem, taus, reference)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    if not np.isfinite(np.array(table.csv_rows(), dtype=float)).all():
+    rows = [astuple(row) for row in table.rows]
+    if not np.isfinite(np.array(rows, dtype=float)).all():
         raise FloatingPointError("non-finite error in the convergence table")
-    write_csv(outdir / "convergence.csv", table.CSV_HEADER, table.csv_rows())
+    write_csv(outdir / "convergence.csv", CONVERGENCE_HEADER, rows)
     for row in table.rows:
         print("tau=%-10g err_CH=%.6e err_L2V=%.6e branches=%d"
               % (row.tau, row.err_CH, row.err_L2V, row.branch_count))
@@ -473,13 +494,10 @@ def cmd_converge(args):
 
 
 def cmd_check(args):
-    keys = {f.name for f in fields(AbstractConstants)} - {"d_sigma"} | {"d", "sigma"}
-    values = read_kv_file(args.constants, dict.fromkeys(keys, float), "constant")
-    if ("d" in values) != ("sigma" in values):
-        raise ConfigError("d and sigma must be given together")
-    d_sigma = (values.pop("d"), values.pop("sigma")) if "d" in values else None
+    casts = {f.name: float for f in fields(AbstractConstants)}
+    values = read_kv_file(args.constants, casts, "constant")
     try:
-        constants = AbstractConstants(d_sigma=d_sigma, **values)
+        constants = AbstractConstants(**values)
     except (TypeError, ValueError) as err:
         raise ConfigError("bad constants: %s" % err) from err
     report = check_conditions(constants)

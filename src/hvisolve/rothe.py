@@ -300,7 +300,9 @@ def _schur_operator(n, dx, tau):
 
 
 def _parallel_message(seg, e0):
-    if abs(e0 - seg.intercept) <= PARALLEL_RTOL * max(1.0, abs(e0), abs(seg.intercept)):
+    # |inf - intercept| <= PARALLEL_RTOL * inf holds, yet no finite r meets an infinite e0
+    scale = max(1.0, abs(e0), abs(seg.intercept))
+    if math.isfinite(e0) and abs(e0 - seg.intercept) <= PARALLEL_RTOL * scale:
         return "continuum of solutions: segment lies on the Schur line for r in [%r, %r]" % (
             seg.r_lo, seg.r_hi)
     return "no solution: segment parallel to the Schur line, flux offset %r" % (
@@ -332,7 +334,7 @@ def _segment_table(graph, g):
     return table, parallel
 
 
-def rothe_step_all(mesh, graph, parents, tau, f_k=None, failures=None):
+def rothe_step_all(mesh, graph, parents, tau, f_k=None, *, failures):
     """All solutions of one backward-Euler step from each row of ``parents``.
 
     ``parents`` is an (m, n) stack of states; a single state counts as a
@@ -342,8 +344,8 @@ def rothe_step_all(mesh, graph, parents, tau, f_k=None, failures=None):
     segments report the same state (for j1 at r = 1, where ``a1`` ends and
     ``v2`` stands); ``run`` merges them.  An affine segment parallel to the
     Schur line (no solution, or a continuum of them) yields no child and is
-    reported into ``failures`` once per parent, as (parent row, case tag,
-    message); the other segments still run.
+    reported into the list ``failures``, which every caller passes, once per
+    parent, as (parent row, case tag, message); the other segments still run.
     """
     op = _schur_operator(mesh.n, float(mesh.dx), float(tau))
     parents = np.asarray(parents, dtype=float)
@@ -366,7 +368,7 @@ def rothe_step_all(mesh, graph, parents, tau, f_k=None, failures=None):
                 segs.append(idx)
                 r.append(r0 if vertical else t)
                 flux.append(t if vertical else slope * t + intercept)
-    if parallel and failures is not None:
+    if parallel:
         tags = segment_tags(graph)
         for row, offset in enumerate(e0):
             for idx in parallel:
@@ -464,29 +466,3 @@ def run(config, mesh, graph, u0, f=None, branch_policy="all"):
             tree.truncated = True
         tree.levels.append(step.take(kept))
     return tree
-
-
-TRAJECTORY_HEADER = ["t", "branch_id", "parent_id", "case_tag"]
-
-
-def trajectory_rows(tree, start=0):
-    """Rows of the branch-trajectory table from level ``start`` on, one per
-    branch per level, yielded lazily: the whole table is never held at once.
-
-    Columns: t, branch_id, parent_id, case_tag, alpha_1..alpha_n, xi.  The
-    root row has case tag ``init`` and empty parent and flux fields.  The ids
-    come from ``tree.level_ids()``, derived from level 0 on whatever
-    ``start`` is; the rows before ``start`` are never built.
-    """
-    ids = tree.level_ids()
-    parent_ids = next(ids)
-    if start == 0:
-        yield [0.0, parent_ids[0], "", "init", *tree.levels[0].states[0].tolist(), ""]
-    for k, branch_ids in enumerate(ids, start=1):
-        if k >= start:
-            level, t = tree.levels[k], k * tree.config.tau
-            for bid, state, parent, seg, flux in zip(
-                    branch_ids, level.states, level.parent.tolist(),
-                    level.segment.tolist(), level.flux.tolist()):
-                yield [t, bid, parent_ids[parent], tree.tags[seg], *state.tolist(), flux]
-        parent_ids = branch_ids

@@ -15,13 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from hvisolve import (
-    AffineSegment,
-    PiecewiseQuadraticPotential,
-    VerticalSegment,
-    assemble_mass,
-    assemble_stiffness,
-)
+from hvisolve import AffineSegment, PiecewiseQuadraticPotential, VerticalSegment
 
 
 def to_dense(sys):
@@ -34,15 +28,29 @@ def to_dense(sys):
     return a
 
 
+def dense_mass_and_stiffness(mesh):
+    """Dense float M and K of the P1 hat basis on the free nodes x_1..x_n,
+    from their closed-form entries: M has 2dx/3 on the diagonal, dx/3 in the
+    last row (half support) and dx/6 off it; K has 2/dx, 1/dx and -1/dx."""
+    n, dx = mesh.n, float(mesh.dx)
+    m = np.diag(np.full(n, 2 * dx / 3))
+    k = np.diag(np.full(n, 2 / dx))
+    m[-1, -1], k[-1, -1] = dx / 3, 1 / dx
+    i = np.arange(n - 1)
+    m[i, i + 1] = m[i + 1, i] = dx / 6
+    k[i, i + 1] = k[i + 1, i] = -1 / dx
+    return m, k
+
+
 def dense_step_matrix(mesh, tau):
-    m = to_dense(assemble_mass(mesh)).astype(float)
-    k = to_dense(assemble_stiffness(mesh)).astype(float)
+    m, k = dense_mass_and_stiffness(mesh)
     return m, m / tau + k
 
 
 @functools.lru_cache(maxsize=8)
 def _dense_mass_plus_stiffness(mesh):
-    return (to_dense(assemble_mass(mesh)) + to_dense(assemble_stiffness(mesh))).astype(float)
+    m, k = dense_mass_and_stiffness(mesh)
+    return m + k
 
 
 def dense_dual_norm(mesh, g):
@@ -61,7 +69,7 @@ def interpolant_gap(mesh, states, tau):
     which is exact for the quadratic integrand: at t = (k - 1 + theta)*tau,
     pc(t) = u^k and pl(t) = (1 - theta)*u^{k-1} + theta*u^k.
     """
-    m = to_dense(assemble_mass(mesh)).astype(float)
+    m = dense_mass_and_stiffness(mesh)[0]
     acc = 0.0
     for prev, cur in zip(states, states[1:]):
         for theta in (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)):

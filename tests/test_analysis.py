@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ def test_interpolant_norms_match_dense_oracle():
         tau = float(rng.uniform(0.01, 0.5))
         snaps = rng.uniform(-2, 2, (steps + 1, n))
         mesh = Mesh1D.uniform(n)
-        got = interpolant_norms(mesh, snaps, tau).csv_row()
+        got = list(astuple(interpolant_norms(mesh, snaps, tau)))
         assert got == pytest.approx(_dense_norm_report(mesh, snaps, tau), rel=1e-12)
 
 
@@ -175,9 +176,9 @@ def test_conditions_case_a_reports_both_thresholds():
 
 def test_conditions_reject_bad_sigma():
     with pytest.raises(ValueError):
-        AbstractConstants(alpha=1.0, beta=0.0, c=1.0, iota_norm=1.0, d_sigma=(1.0, 2.0))
+        AbstractConstants(alpha=1.0, beta=0.0, c=1.0, iota_norm=1.0, d=1.0, sigma=2.0)
     report = check_conditions(
-        AbstractConstants(alpha=0.1, beta=0.0, c=1.0, iota_norm=1.0, d_sigma=(1.0, 1.5))
+        AbstractConstants(alpha=0.1, beta=0.0, c=1.0, iota_norm=1.0, d=1.0, sigma=1.5)
     )
     assert report.aux_c and not report.aux_b
 

@@ -17,7 +17,6 @@ from hvisolve import (
     potential_j1,
     potential_j2,
     run,
-    trajectory_rows,
 )
 from hvisolve import cli, rothe
 from hvisolve.cli import (
@@ -25,6 +24,7 @@ from hvisolve.cli import (
     build_parser,
     main,
     merge_config,
+    trajectory_rows,
     write_csv,
     write_trajectory,
 )
@@ -719,12 +719,22 @@ def test_custom_potential_rejects_non_finite(tmp_path, capsys, breakpoints, piec
     assert not (tmp_path / "o" / "norms.csv").exists()
 
 
-@pytest.mark.parametrize("line", ["alpha = abc", "alpha = nan", "beta = inf"])
-def test_check_rejects_bad_constants(tmp_path, capsys, line):
+@pytest.mark.parametrize("line, err", [
+    pytest.param("alpha = abc", "bad value for 'alpha': could not convert string to float: "
+                 "'abc'", id="alpha = abc"),
+    pytest.param("alpha = nan", "bad constants: alpha must be finite, got nan", id="alpha = nan"),
+    pytest.param("beta = inf", "bad constants: beta must be finite, got inf", id="beta = inf"),
+    pytest.param("d = 1", "bad constants: d and sigma must be given together", id="d = 1"),
+])
+def test_check_rejects_bad_constants(tmp_path, capsys, line, err):
+    # the line replaces its key's valid value, so no key is repeated
+    valid = {"alpha": "1.0", "c": "0.3", "beta": "0.0", "iota_norm": "1.0"}
+    key, _, value = line.split()
+    valid[key] = value
     constants = tmp_path / "c.txt"
-    constants.write_text("alpha = 1.0\nc = 0.3\nbeta = 0.0\niota_norm = 1.0\n" + line + "\n")
+    constants.write_text("".join("%s = %s\n" % kv for kv in valid.items()))
     assert _run_cli("check", "--constants", str(constants)) == 1
-    assert "config error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: %s\n" % err
 
 
 @pytest.mark.parametrize("line", ["d_sigma = 1", "foo = 1"])

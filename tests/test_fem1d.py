@@ -13,7 +13,7 @@ from hvisolve import (
     factor_tridiagonal,
     solve_tridiagonal,
 )
-from oracles import dense_dual_norm, to_dense
+from oracles import dense_dual_norm, dense_mass_and_stiffness, to_dense
 
 
 def test_mesh_validation():
@@ -38,6 +38,15 @@ def test_stiffness_entries_small_mesh():
     assert np.allclose(m.diag, [4.0, 2.0])
     assert np.allclose(m.lower, [-2.0])
     assert np.allclose(m.upper, [-2.0])
+
+
+def test_assembly_matches_closed_form_oracle():
+    # the oracles build M and K from the closed-form entries, not from this assembly
+    for n in (2, 7, 100):
+        mesh = Mesh1D.uniform(n)
+        m, k = dense_mass_and_stiffness(mesh)
+        assert np.array_equal(to_dense(assemble_mass(mesh)), m)
+        assert np.array_equal(to_dense(assemble_stiffness(mesh)), k)
 
 
 def test_stiffness_interior_row_sums_vanish():

@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import re
@@ -87,7 +88,7 @@ def test_project_initial():
 
 def test_step_zero_graph_zero_data():
     mesh = Mesh1D.uniform(5)
-    sols = rothe_step_all(mesh, zero_flux_graph(), np.zeros(5), tau=0.1)
+    sols = rothe_step_all(mesh, zero_flux_graph(), np.zeros(5), tau=0.1, failures=[])
     assert len(sols) == 1
     assert np.allclose(sols.states[0], 0.0, atol=1e-14)
     assert sols.flux[0] == 0.0
@@ -98,7 +99,7 @@ def test_step_pure_heat_matches_dense_solve():
     tau = 0.05
     rng = np.random.default_rng(4)
     prev = rng.uniform(-1, 2, mesh.n)
-    sols = rothe_step_all(mesh, zero_flux_graph(), prev, tau)
+    sols = rothe_step_all(mesh, zero_flux_graph(), prev, tau, failures=[])
     assert len(sols) == 1
     m = to_dense(assemble_mass(mesh))
     a = m / tau + to_dense(assemble_stiffness(mesh))
@@ -116,6 +117,8 @@ def test_step_singular_segment_reported_and_skipped():
     sols = rothe_step_all(mesh, graph, np.array([2.0, 2.0]), tau=1 / 12, failures=failures)
     assert len(sols) == 0
     assert len(failures) == 1 and failures[0][:2] == (0, "a0")
+    with pytest.raises(TypeError):  # no caller can drop the reports by leaving out the list
+        rothe_step_all(mesh, graph, np.array([2.0, 2.0]), tau=1 / 12)
 
 
 def test_step_parallel_segment_classified():
@@ -145,6 +148,10 @@ def test_parallel_message_scale_holds_e0():
     assert abs(e0 - intercept) <= rothe.PARALLEL_RTOL * abs(e0)
     seg = AffineSegment(-np.inf, np.inf, -1.0, intercept)
     assert rothe._parallel_message(seg, e0).startswith("continuum of solutions")
+    # no finite boundary value meets a non-finite e0, though inf <= PARALLEL_RTOL*inf
+    for e0 in (np.inf, -np.inf, np.nan):
+        assert rothe._parallel_message(seg, e0) == (
+            "no solution: segment parallel to the Schur line, flux offset %r" % (e0 - intercept,))
 
 
 def test_singular_segment_does_not_abort_other_segments():
@@ -183,10 +190,10 @@ def test_stacked_step_equals_one_row_steps():
         parents = rng.choice(pot.breakpoints) + rng.uniform(-0.4, 0.4, (7, n))
         parents = np.vstack([parents, np.full(n, np.nan)])
         f_k = rng.uniform(-0.3, 0.3, n)
-        level = rothe_step_all(mesh, graph, parents, tau, f_k)
+        level = rothe_step_all(mesh, graph, parents, tau, f_k, failures=[])
         want = {"states": [], "parent": [], "tags": [], "flux": []}
         for row, prev in enumerate(parents):
-            one = rothe_step_all(mesh, graph, prev, tau, f_k)
+            one = rothe_step_all(mesh, graph, prev, tau, f_k, failures=[])
             assert one.parent.tolist() == [0] * len(one)
             for got, stacked in zip((one.states, one.parent, one.segment, one.flux),
                                     (level.states, level.parent, level.segment, level.flux)):
@@ -203,8 +210,8 @@ def test_stacked_step_equals_one_row_steps():
         assert [tags[s] for s in level.segment] == want["tags"]
         assert level.flux.tobytes() == np.array(want["flux"]).tobytes()
         for rows in (parents, parents[0]):  # no forcing is a zero forcing, on both paths
-            assert _same_bits(rothe_step_all(mesh, graph, rows, tau),
-                              rothe_step_all(mesh, graph, rows, tau, np.zeros(n)))
+            assert _same_bits(rothe_step_all(mesh, graph, rows, tau, failures=[]),
+                              rothe_step_all(mesh, graph, rows, tau, np.zeros(n), failures=[]))
     assert branched >= 3
 
 
@@ -317,7 +324,7 @@ def test_corner_solution_reported_twice_and_merged_once():
     mesh = Mesh1D(2, 0.5)
     graph = clarke_subdifferential(potential_j1())
     c = 4.875 / 3.625
-    sols = rothe_step_all(mesh, graph, np.array([c, c]), tau=1 / 12)
+    sols = rothe_step_all(mesh, graph, np.array([c, c]), tau=1 / 12, failures=[])
     assert [rothe.segment_tags(graph)[s] for s in sols.segment] == ["a1", "v2", "a3"]
     assert np.max(np.abs(sols.states[0] - sols.states[1])) < rothe.DEDUPE_TOL
     cfg = RotheConfig(tau=1 / 12, num_steps=1)
@@ -353,7 +360,7 @@ def test_membership_tolerance_at_segment_ends():
         (g + 1 + 3 * tol, ["a2"]),
     ):
         c = e0 / 3.625
-        level = rothe_step_all(mesh, graph, np.array([c, c]), tau=1 / 12)
+        level = rothe_step_all(mesh, graph, np.array([c, c]), tau=1 / 12, failures=[])
         assert [tags[s] for s in level.segment] == want, e0
 
 
@@ -428,7 +435,7 @@ def test_step_enumeration_matches_scan_oracle():
     branched = 0
     kinds = set()
     for trial, (mesh, graph, prev, tau) in enumerate(cases):
-        sols = rothe_step_all(mesh, graph, prev, tau)
+        sols = rothe_step_all(mesh, graph, prev, tau, failures=[])
         got = sorted(sols.states[:, -1])
         want = schur_scan_solutions(mesh, graph, prev, tau)
         assert len(got) == len(want), (trial, got, want)
@@ -593,9 +600,10 @@ def test_step_scratch_is_bounded_by_its_stack():
     # and y to the end, or copying y to gather from it, passes 4.
     mesh, graph = Mesh1D.uniform(100), clarke_subdifferential(potential_j1())
     parents = _wide_stack(mesh, 400)
-    step = rothe_step_all(mesh, graph, parents, 0.0025)  # warm the operator cache
+    step = rothe_step_all(mesh, graph, parents, 0.0025, failures=[])  # warm the operator cache
     assert len(step) >= len(parents)
-    assert _traced_peak(rothe_step_all, mesh, graph, parents, 0.0025) < 4 * parents.nbytes
+    step_all = functools.partial(rothe_step_all, failures=[])
+    assert _traced_peak(step_all, mesh, graph, parents, 0.0025) < 4 * parents.nbytes
 
 
 def test_norm_scratch_is_bounded_by_its_path():
@@ -686,7 +694,7 @@ def test_step_membership_matches_exact_rational_step():
         steps.extend((mesh, graph, level.states, tau) for level in tree.levels)
     accepted, tolerated, rows = {}, 0, 0
     for mesh, graph, parents, tau in steps:
-        step = rothe_step_all(mesh, graph, parents, tau)
+        step = rothe_step_all(mesh, graph, parents, tau, failures=[])
         for row, prev in enumerate(parents.tolist()):
             g, e0, cases = exact_step(mesh.n, graph, prev, tau)
             mine = step.parent == row
