@@ -272,18 +272,20 @@ def trajectory_rows(tree, start=0):
 
     Columns: t, branch_id, parent_id, case_tag, alpha_1..alpha_n, xi.  The
     root row has case tag ``init`` and empty parent and flux fields.  The ids
-    come from ``tree.level_ids()``, derived from level 0 on whatever
-    ``start`` is; the rows before ``start`` are never built.
+    come from ``tree.level_ids()`` and the states from
+    ``tree.level_states()``, both derived from level 0 on whatever ``start``
+    is; the rows before ``start`` are never built.
     """
-    ids = tree.level_ids()
+    ids, states = tree.level_ids(), tree.level_states()
     parent_ids = next(ids)
+    root = next(states)
     if start == 0:
-        yield [0.0, parent_ids[0], "", "init", *tree.levels[0].states[0].tolist(), ""]
-    for k, branch_ids in enumerate(ids, start=1):
+        yield [0.0, parent_ids[0], "", "init", *root[0].tolist(), ""]
+    for k, (branch_ids, stack) in enumerate(zip(ids, states), start=1):
         if k >= start:
             level, t = tree.levels[k], k * tree.config.tau
             for bid, state, parent, seg, flux in zip(
-                    branch_ids, level.states, level.parent.tolist(),
+                    branch_ids, stack, level.parent.tolist(),
                     level.segment.tolist(), level.flux.tolist()):
                 yield [t, bid, parent_ids[parent], tree.tags[seg], *state.tolist(), flux]
         parent_ids = branch_ids
@@ -325,9 +327,9 @@ def write_trajectory(path, tree, surface=None):
     follows goes there in the same pass, the Dirichlet end first at each
     level.  Each level's surface lines are built from the text of its path
     row, so every value on the path is formatted once.  A forked child may
-    write the back levels (see _fork_level), deriving the branch ids of the
-    front levels without formatting their rows; the bytes are the same.  If
-    writing fails, neither file is left behind.
+    write the back levels (see _fork_level), deriving the branch ids and
+    replaying the states of the front levels without formatting their rows;
+    the bytes are the same.  If writing fails, neither file is left behind.
     """
     n = tree.mesh.n
     xs = ["0.0", *map(str, tree.mesh.nodes.tolist())]

@@ -31,11 +31,15 @@ of the graph, where two segments meet, is reported by both; ``run`` merges
 coinciding states once per level.
 
 A step returns its children as one StepLevel record of arrays (states,
-parent rows, segment indices, fluxes).  ``run`` keeps the merged and
-selected rows of it as the tree's level, read-only; no level is stored
-twice, and its failure records name parents by row.  Only
-SolutionTree.level_ids makes branch ids, from the parent links: the root is
-``0`` and a child's id is its parent's id, a dot and its segment index.
+parent rows, segment indices, fluxes).  ``run`` steps from the full states
+of the current level alone; the tree keeps of each level its links, fluxes
+and boundary values, and the state of row 0 (a TreeLevel).  Since a child
+is y[parent] - r*w with y of its parent alone, SolutionTree.level_states
+re-derives every other state bit for bit through the same interior solve
+(_interiors, _with_boundary) from the root.  Failure records name parents
+by row.  Only SolutionTree.level_ids makes branch ids, from the parent
+links: the root is ``0`` and a child's id is its parent's id, a dot and its
+segment index.
 """
 
 import functools
@@ -126,29 +130,53 @@ class StepLevel:
         return len(self.states)
 
     def take(self, rows):
-        """The children at ``rows``, in that order, with read-only arrays."""
-        arrays = [a[rows] for a in (self.states, self.parent, self.segment, self.flux)]
-        for a in arrays:
-            a.setflags(write=False)
-        return StepLevel(*arrays)
+        """The children at ``rows``, in that order."""
+        return StepLevel(*(a[rows] for a in (self.states, self.parent, self.segment, self.flux)))
+
+
+@dataclass(frozen=True)
+class TreeLevel:
+    """What a SolutionTree keeps of one level: the ``parent`` row, ``segment``
+    index, ``flux`` and boundary value ``r`` of every row, and ``first``, the
+    state of row 0.  SolutionTree.level_states re-derives the other states."""
+
+    parent: np.ndarray
+    segment: np.ndarray
+    flux: np.ndarray
+    r: np.ndarray
+    first: np.ndarray
+
+    def __len__(self):
+        return len(self.r)
+
+    @classmethod
+    def of(cls, level):
+        """The record of a StepLevel; it shares no memory with its states."""
+        return cls(level.parent, level.segment, level.flux, level.states[:, -1].copy(),
+                   level.states[0].copy())
 
 
 @dataclass
 class SolutionTree:
     """Per-time-step record of all retained discrete solutions.
 
-    ``levels[k]`` is the StepLevel of the branches kept at step k; a child's
+    ``levels[k]`` is the TreeLevel of the branches kept at step k; a child's
     ``parent`` is a row of level k-1 and its ``segment`` indexes ``tags``,
     the graph's segment tags.  The root level holds the initial state, with
-    parent and segment -1 and flux NaN.  Records of ``terminated`` and
-    ``step_failures`` at level k hold a ``parent_row`` of level k-1 too;
-    only ``level_ids`` derives branch ids.
+    parent and segment -1 and flux NaN.  Only row 0 of a level keeps its
+    state; ``level_states`` and ``path_states`` re-derive the others from
+    the root by stepping with ``forcing``, the ``f`` given to ``run``.
+    ``finite`` is False once ``run`` kept a non-finite state.  Records of
+    ``terminated`` and ``step_failures`` at level k hold a ``parent_row`` of
+    level k-1 too; only ``level_ids`` derives branch ids.
     """
 
     mesh: object
     config: RotheConfig
     tags: list
     levels: list = field(default_factory=list)
+    forcing: object = None
+    finite: bool = True
     truncated: bool = False
     terminated: list = field(default_factory=list)  # (level, parent_row) of dead ends
     step_failures: list = field(default_factory=list)  # (level, parent_row, case_tag, message)
@@ -162,6 +190,37 @@ class SolutionTree:
             ids = ["0"] if ids is None else ["%s.%d" % (ids[p], s) for p, s in zip(
                 level.parent.tolist(), level.segment.tolist())]
             yield ids
+
+    def step_forcing(self, k):
+        """The forcing vector of step k, as ``run`` steps with it."""
+        if self.forcing is None:
+            return np.zeros(self.mesh.n)
+        return clement_average(self.forcing, self.config.tau, k)
+
+    def _stepped(self, k, parents, rows, r):
+        """The states of boundary values ``r`` that step k reaches from the
+        rows ``rows`` of the stack ``parents``, through the step's own
+        interior solve: the bits ``run`` found."""
+        op = _schur_operator(self.mesh.n, float(self.mesh.dx), float(self.config.tau))
+        y, _ = _interiors(op, parents, self.config.tau, self.step_forcing(k))
+        interior = y[rows]
+        del y
+        return _with_boundary(op, interior, r)
+
+    def level_states(self):
+        """The (m, n) stack of each level's states, in order, as ``run`` found
+        them, bit for bit: rows 1.. of a level are stepped from their distinct
+        parents in the stack before and given their stored boundary values.
+        Two levels are held at a time."""
+        states = None
+        for k, level in enumerate(self.levels):
+            if len(level) == 1:
+                states = level.first[None, :]
+            else:
+                parents, rows = np.unique(level.parent[1:], return_inverse=True)
+                states = np.concatenate((level.first[None, :], self._stepped(
+                    k, states[parents], rows, level.r[1:])))
+            yield states
 
     def quote_failures(self, level):
         """Each step failure of ``level`` as ``branch <id>, <case tag>: <message>``."""
@@ -206,21 +265,27 @@ class SolutionTree:
         return rows
 
     def path_states(self, leaf_index=0):
-        """Root-to-leaf nodal states, one per level."""
-        return [level.states[row] for level, row in zip(self.levels, self.path_rows(leaf_index))]
+        """Root-to-leaf nodal states, one per level; a state off row 0 is
+        stepped from the one before it, as in ``level_states``."""
+        path = []
+        for k, (level, row) in enumerate(zip(self.levels, self.path_rows(leaf_index))):
+            path.append(level.first if row == 0 else self._stepped(
+                k, path[-1][None, :], [0], level.r[row:row + 1])[0])
+        return path
 
     def chain_states(self):
         """States of a single-branch tree; fails if any level branched."""
         if any(len(level) != 1 for level in self.levels):
             raise ValueError("tree has branching levels; pick a leaf explicitly")
-        return [level.states[0] for level in self.levels]
+        return [level.first for level in self.levels]
 
     def boundary_values(self, leaf_index=0):
-        return np.array([s[-1] for s in self.path_states(leaf_index)])
+        return np.array([level.r[row] for level, row in zip(self.levels,
+                                                             self.path_rows(leaf_index))])
 
     def require_solved(self):
         """This tree; NoSolutionError if it died early, quoting the step failures
-        of the dying level; FloatingPointError on a non-finite state."""
+        of the dying level; FloatingPointError if ``run`` kept a non-finite state."""
         if not self.completed():
             level = self.no_solution_level
             quoted = self.quote_failures(level)
@@ -232,7 +297,7 @@ class SolutionTree:
                 msg += ": " + "; ".join(quoted[:QUOTED_FAILURES]) + (
                     "; and %d more" % more if more > 0 else "")
             raise NoSolutionError(msg)
-        if not all(np.isfinite(level.states).all() for level in self.levels):
+        if not self.finite:
             raise FloatingPointError("non-finite state in the solution tree")
         return self
 
@@ -334,6 +399,26 @@ def _segment_table(graph, g):
     return table, parallel
 
 
+def _interiors(op, parents, tau, f_k):
+    """The interior solve of one step from each row of the (m, n) stack
+    ``parents``: y, the (m, n-1) interior at boundary value 0, and e0, where
+    a boundary value r needs the flux e0 - g*r.  Each row's bits depend on
+    that row alone."""
+    rhs = op.mass.matvec(parents)
+    rhs /= tau
+    if f_k is not None:
+        rhs += np.asarray(f_k, dtype=float)
+    y = op.interior.solve(rhs[:, :-1].T).T
+    return y, rhs[:, -1] - op.coupling * y[:, -1]
+
+
+def _with_boundary(op, interior, r):
+    """Child states from ``interior``, their parents' rows of y, and their
+    boundary values ``r``: ``interior - r*w`` (computed in place), then ``r``."""
+    interior -= r[:, None] * op.w
+    return np.concatenate((interior, r[:, None]), axis=1)
+
+
 def rothe_step_all(mesh, graph, parents, tau, f_k=None, *, failures):
     """All solutions of one backward-Euler step from each row of ``parents``.
 
@@ -351,13 +436,8 @@ def rothe_step_all(mesh, graph, parents, tau, f_k=None, *, failures):
     parents = np.asarray(parents, dtype=float)
     if parents.ndim == 1:
         parents = parents[None, :]
-    rhs = op.mass.matvec(parents)
-    rhs /= tau
-    if f_k is not None:
-        rhs += np.asarray(f_k, dtype=float)
-    y = op.interior.solve(rhs[:, :-1].T).T
-    e0 = (rhs[:, -1] - op.coupling * y[:, -1]).tolist()
-    del rhs  # y is all the rest reads: hold as few stack-sized blocks as possible
+    y, e0 = _interiors(op, parents, tau, f_k)
+    e0 = e0.tolist()
     table, parallel = _segment_table(graph, op.g)
     rows, segs, r, flux = [], [], [], []
     for row, e in enumerate(e0):
@@ -375,11 +455,9 @@ def rothe_step_all(mesh, graph, parents, tau, f_k=None, *, failures):
                 failures.append((row, tags[idx], _parallel_message(graph.segments[idx], offset)))
 
     rows = np.array(rows, dtype=np.intp)
-    r = np.array(r, dtype=float)
     interior = y[rows]
     del y  # from here on, the interiors and r*w are the only blocks held
-    interior -= r[:, None] * op.w
-    states = np.concatenate((interior, r[:, None]), axis=1)
+    states = _with_boundary(op, interior, np.array(r, dtype=float))
     return StepLevel(states, rows, np.array(segs, dtype=np.intp), np.array(flux, dtype=float))
 
 
@@ -442,27 +520,29 @@ def run(config, mesh, graph, u0, f=None, branch_policy="all"):
     """
     if branch_policy not in BRANCH_POLICIES:
         raise ValueError("unknown branch policy %r" % (branch_policy,))
-    zero = np.zeros(mesh.n)
+    tree = SolutionTree(mesh=mesh, config=config, tags=segment_tags(graph), forcing=f)
 
-    tree = SolutionTree(mesh=mesh, config=config, tags=segment_tags(graph))
-    root = StepLevel(project_initial(mesh, u0)[None, :], np.array([-1]), np.array([-1]),
-                     np.array([np.nan]))
-    tree.levels.append(root.take([0]))
+    def keep(level):
+        tree.levels.append(TreeLevel.of(level))
+        tree.finite = tree.finite and bool(np.isfinite(level.states).all())
 
+    level = StepLevel(project_initial(mesh, u0)[None, :], np.array([-1]), np.array([-1]),
+                      np.array([np.nan]))
+    keep(level)
     for k in range(1, config.num_steps + 1):
-        f_k = zero if f is None else clement_average(f, config.tau, k)
         fails = []
-        parents = tree.levels[-1]
-        step = rothe_step_all(mesh, graph, parents.states, config.tau, f_k, failures=fails)
+        step = rothe_step_all(mesh, graph, level.states, config.tau, tree.step_forcing(k),
+                              failures=fails)
         tree.step_failures.extend((k,) + fail for fail in fails)
         stepped = set(step.parent.tolist())
-        if len(stepped) < len(parents):
-            tree.terminated.extend((k, row) for row in range(len(parents)) if row not in stepped)
+        if len(stepped) < len(level):
+            tree.terminated.extend((k, row) for row in range(len(level)) if row not in stepped)
         if not len(step):
             break
         kept = _select(step.states, _merge_duplicates(step.states), branch_policy)
         if len(kept) > config.max_branches:
             kept = _spread_by_boundary(step.states, kept, config.max_branches)
             tree.truncated = True
-        tree.levels.append(step.take(kept))
+        level = step.take(kept)
+        keep(level)
     return tree

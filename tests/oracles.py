@@ -243,8 +243,10 @@ def check_tree(tree, graph, f=None, rtol=1e-12, tol=1e-12):
     The boundary pair (a_n, xi) must lie, within ``tol``, on the graph
     segment that the branch's case tag names: affine tags ``a<i>`` by the
     segment's closed interval and line, vertical tags ``v<i>`` by its point
-    and flux interval.  The ids ``tree.level_ids()`` derives must be those
-    of tree_branch_ids, and distinct within each level.
+    and flux interval.  The states are those ``tree.level_states()``
+    replays, with each level's stored boundary values ``r`` as their last
+    entries.  The ids ``tree.level_ids()`` derives must be those of
+    tree_branch_ids, and distinct within each level.
     """
     tau = tree.config.tau
     m, a = dense_step_matrix(tree.mesh, tau)
@@ -252,11 +254,15 @@ def check_tree(tree, graph, f=None, rtol=1e-12, tol=1e-12):
     assert list(tree.level_ids()) == ids
     assert all(len(set(level)) == len(level) for level in ids)
     checked = 0
-    for k in range(1, tree.num_levels):
+    stacks = tree.level_states()
+    prev_states = next(stacks)
+    for k, states in enumerate(stacks, start=1):
         f_k = np.zeros(tree.mesh.n) if f is None else step_mean(f, tau, k)
-        level, prev_states = tree.levels[k], tree.levels[k - 1].states
+        level = tree.levels[k]
+        assert states.shape == (len(level), tree.mesh.n)
+        assert np.array_equal(states[:, -1], level.r)
         for i, bid in enumerate(ids[k]):
-            state, prev = level.states[i], prev_states[level.parent[i]]
+            state, prev = states[i], prev_states[level.parent[i]]
             xi = float(level.flux[i])
             tag = tree.tags[level.segment[i]]
             terms = a @ state - m @ prev / tau - f_k
@@ -278,6 +284,7 @@ def check_tree(tree, graph, f=None, rtol=1e-12, tol=1e-12):
                 line = seg.slope * r + seg.intercept
                 assert abs(xi - line) <= tol * max(1.0, abs(xi)), (bid, xi, line)
             checked += 1
+        prev_states = states
     return checked
 
 

@@ -11,8 +11,8 @@ import pytest
 
 from hvisolve import (
     Mesh1D,
+    PiecewiseQuadraticPotential,
     RotheConfig,
-    SolutionTree,
     clarke_subdifferential,
     potential_j1,
     potential_j2,
@@ -28,7 +28,6 @@ from hvisolve.cli import (
     write_csv,
     write_trajectory,
 )
-from hvisolve.rothe import StepLevel
 from oracles import schur_parallel_j1, tree_branch_ids
 
 
@@ -200,6 +199,27 @@ def test_run_non_finite_norm_is_numerical_failure(tmp_path, capsys):
     assert code == 2
     assert "numerical failure:" in capsys.readouterr().err
     assert not (tmp_path / "o" / "norms.csv").exists()
+
+
+def test_run_non_finite_later_row_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    # a NaN in a kept row past row 0, which the tree does not store: run()
+    # records it as it steps, and no output file is written
+    step_all, calls = rothe.rothe_step_all, []
+
+    def poisoned(*args, **kw):
+        step = step_all(*args, **kw)
+        calls.append(len(step))
+        if len(calls) == 4:
+            step.states[-1, 0] = np.nan
+        return step
+
+    monkeypatch.setattr(rothe, "rothe_step_all", poisoned)
+    code = _run_cli("run", "--potential", "j1", "--nx", "10", "--dt", "0.05", "--T", "0.3",
+                    "--u0", "const:1.5", "--policy", "all", "--out", str(tmp_path / "o"))
+    assert calls[3] >= 2 and code == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: non-finite state in the solution tree\n")
+    assert os.listdir(tmp_path / "o") == []
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
@@ -514,13 +534,13 @@ def _selftest_tree():
 def _want_tables(tree):
     """The expected trajectory and surface rows, built from the level arrays."""
     trajectory, branch_ids = [], tree_branch_ids(tree)
-    for k, (level, ids) in enumerate(zip(tree.levels, branch_ids)):
+    for k, (level, ids, states) in enumerate(zip(tree.levels, branch_ids, tree.level_states())):
         for i, bid in enumerate(ids):
             parent, tag, flux = "", "init", ""
             if k:
                 parent = branch_ids[k - 1][level.parent[i]]
                 tag, flux = tree.tags[level.segment[i]], float(level.flux[i])
-            trajectory.append([k * tree.config.tau, bid, parent, tag, *level.states[i], flux])
+            trajectory.append([k * tree.config.tau, bid, parent, tag, *states[i], flux])
     surface = []
     for k, state in enumerate(tree.path_states(0)):
         t = k * tree.config.tau
@@ -637,26 +657,18 @@ def test_failed_trajectory_writer_is_io_error(tmp_path, capsys, monkeypatch, sid
 
 
 def test_surface_follows_parent_links(tmp_path):
-    # Leaf 0 descends from row 1 of level 1, and row 0 of level 1 differs from
-    # it in every node: a surface that takes row 0 of each level fails here.
-    def level(states, parent, segment, flux):
-        return StepLevel(np.array(states), np.array(parent), np.array(segment), np.array(flux))
-
-    tree = SolutionTree(
-        mesh=Mesh1D.uniform(3), config=RotheConfig(tau=0.1, num_steps=2),
-        tags=["a0", "v1", "a2"],
-        levels=[
-            level([[2.0, 1 / 3, -0.0]], [-1], [-1], [np.nan]),
-            level([[0.1, 0.2, 0.30000000000000004], [1e-05, 5e-324, -2.5e-300]],
-                  [0, 0], [0, 2], [-0.5, 1e16]),
-            level([[7.0, -1 / 7, 1e22], [0.7, 0.07, 0.007]], [1, 0], [1, 0], [3.0, 1 / 9]),
-        ],
-    )
-    ids = [["0"], ["0.0", "0.2"], ["0.2.1", "0.0.0"]]
-    assert list(tree.level_ids()) == tree_branch_ids(tree) == ids
-    assert tree.path_rows(0) == [0, 1, 0]
-    assert tree.path_states(0)[1].tolist() == [1e-05, 5e-324, -2.5e-300]
-    assert _forced_split(tree) == 2  # the back half is the last level alone
+    # Leaf 0 descends from row 1 of levels 1-5, where row 0 is a branch that
+    # dies at the next step and differs from row 1 in every node: a surface
+    # that takes row 0 of each level fails here.
+    graph = clarke_subdifferential(PiecewiseQuadraticPotential(
+        [0.0], [(-3.0, 0.0, 0.0), (0.0, 0.0, 0.0)]))
+    tree = run(RotheConfig.from_step(0.05, 0.3), Mesh1D.uniform(6), graph, lambda x: 1.5)
+    assert tree.branch_counts() == [1] + [2] * 6
+    assert tree.terminated == [(k, 0) for k in range(2, 7)]
+    assert tree.path_rows(0) == [0, 1, 1, 1, 1, 1, 0]
+    stacks = list(tree.level_states())
+    assert all((stacks[k][0] != stacks[k][1]).all() for k in range(1, 6))
+    assert _forced_split(tree) == 4  # the child replays levels 1-3 before it writes
     _check_tables(tmp_path, tree)
 
 

@@ -232,8 +232,8 @@ def test_stacked_step_reports_failures_by_parent_row():
 
 def _hand_level(parent, segment):
     states = np.arange(2.0 * len(parent)).reshape(-1, 2)
-    return rothe.StepLevel(states, np.array(parent), np.array(segment),
-                           np.full(len(parent), np.nan))
+    return rothe.TreeLevel.of(rothe.StepLevel(states, np.array(parent), np.array(segment),
+                                              np.full(len(parent), np.nan)))
 
 
 def test_require_solved_quotes_the_dying_level():
@@ -485,8 +485,8 @@ def test_truncation_keeps_the_envelope():
     assert cut.truncated and cut.max_branch_count == 64 and cut.completed()
     check_tree(cut, graph)
     for a, b in zip(full.levels, cut.levels):
-        assert b.states[:, -1].max() == a.states[:, -1].max()
-        assert b.states[:, -1].min() == a.states[:, -1].min()
+        assert b.r.max() == a.r.max()
+        assert b.r.min() == a.r.min()
         assert np.all(np.diff(b.parent) >= 0)  # kept rows stay in their order
 
 
@@ -512,9 +512,9 @@ def test_extreme_branches_bracket_every_branch():
         assert not trees["all"].truncated
         lo = trees["min_boundary"].chain_states()
         hi = trees["max_boundary"].chain_states()
-        for k, level in enumerate(trees["all"].levels):
-            assert np.all(level.states >= lo[k] - 1e-9), k
-            assert np.all(level.states <= hi[k] + 1e-9), k
+        for k, states in enumerate(trees["all"].level_states()):
+            assert np.all(states >= lo[k] - 1e-9), k
+            assert np.all(states <= hi[k] + 1e-9), k
         branching += trees["all"].max_branch_count > 1
     assert branching >= 5  # the trials must actually branch
 
@@ -526,9 +526,9 @@ def test_run_policies_identical_for_linear_graph():
         run(cfg, mesh, zero_flux_graph(), lambda x: 2.0, branch_policy=p)
         for p in ("all", "first")
     ]
-    for a, b in zip(trees[0].levels, trees[1].levels):
+    for a, b in zip(trees[0].level_states(), trees[1].level_states(), strict=True):
         assert len(a) == len(b) == 1
-        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a, b)
 
 
 def test_tree_invariants_on_branching_run():
@@ -539,20 +539,23 @@ def test_tree_invariants_on_branching_run():
     assert tree.completed()
     assert len(tree.levels[0]) == 1
     assert check_tree(tree, graph) == sum(tree.branch_counts()[1:])
-    for level, ids in zip(tree.levels, tree.level_ids(), strict=True):
-        # one read-only record per level, one distinct branch id per row
-        arrays = (level.states, level.parent, level.segment, level.flux)
-        assert all(not a.flags.writeable and len(a) == len(level) for a in arrays)
+    for level, ids, states in zip(tree.levels, tree.level_ids(), tree.level_states(),
+                                  strict=True):
+        # one record per level, one distinct branch id per row
+        arrays = (states, level.parent, level.segment, level.flux, level.r)
+        assert all(len(a) == len(level) for a in arrays)
         assert len(set(ids)) == len(ids) == len(level)
-        for i, a in enumerate(level.states):
-            for b in level.states[i + 1:]:
+        for i, a in enumerate(states):
+            for b in states[i + 1:]:
                 assert np.max(np.abs(a - b)) >= rothe.DEDUPE_TOL
 
 
 def test_tree_memory_is_its_level_arrays():
-    # 3497 rows over 201 levels: branch id strings, which grow with the depth,
-    # would hold ~5x the level arrays' bytes; derived ids leave ~1.3x
-    mesh, graph = Mesh1D.uniform(10), clarke_subdifferential(potential_j1())
+    # j1-enumerate's tree, 5363 rows over 201 levels of n = 100, holds its link
+    # arrays (parent, segment, flux, r) and one state per level, about one path:
+    # 0.47 MB with the array headers.  Every row's state would add 4.3 MB, and
+    # stored branch ids, strings that grow with the depth, 2.1 MB.
+    mesh, graph = Mesh1D.uniform(100), clarke_subdifferential(potential_j1())
     cfg = RotheConfig.from_step(0.0025, 0.5, max_branches=128)
     run(RotheConfig(tau=cfg.tau, num_steps=1), mesh, graph, lambda x: 2.0)  # warm the cache
     tracing = tracemalloc.is_tracing()
@@ -567,10 +570,12 @@ def test_tree_memory_is_its_level_arrays():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert sum(tree.branch_counts()) == 3497
-    arrays = sum(a.nbytes for level in tree.levels
-                 for a in (level.states, level.parent, level.segment, level.flux))
-    assert held <= 2 * arrays, (held, arrays)
+    assert sum(tree.branch_counts()) == 5363
+    links = sum(a.nbytes for level in tree.levels
+                for a in (level.parent, level.segment, level.flux, level.r))
+    path = tree.num_levels * mesh.n * 8
+    widest = tree.max_branch_count * mesh.n * 8
+    assert held <= 2 * links + path + widest, (held, links, path, widest)
 
 
 def _traced_peak(fn, *args):
@@ -646,7 +651,106 @@ def test_leaf_paths_share_the_root():
     for leaf in range(len(tree.levels[-1])):
         path = tree.path_states(leaf)
         assert len(path) == tree.num_levels
-        assert np.array_equal(path[0], tree.levels[0].states[0])
+        assert np.array_equal(path[0], tree.levels[0].first)
+
+
+def _row_zero_dies_tree(f=None):
+    """Two branches per level from step 1 on, whose row 0 dies at every later
+    step: left of 0 the potential -3 r^2 makes g*r + flux fall (g = 4.58), so
+    the lower branch's next e0 is below every value it takes, and leaf 0
+    descends from row 1 on levels 1-5."""
+    graph = clarke_subdifferential(PiecewiseQuadraticPotential(
+        [0.0], [(-3.0, 0.0, 0.0), (0.0, 0.0, 0.0)]))
+    tree = run(RotheConfig.from_step(0.05, 0.3), Mesh1D.uniform(6), graph, lambda x: 1.5,
+               f=f, branch_policy="all")
+    return tree, graph
+
+
+def _row_zero_cut_tree():
+    """128 branches from step 7 on, cut to evenly spaced boundary values; the
+    cuts drop row 0, so leaf 0's path leaves it on 6 levels."""
+    graph = clarke_subdifferential(PiecewiseQuadraticPotential(
+        [0.0], [(-8.0, 0.0, 0.0), (0.0, 0.0, 0.0)]))
+    tree = run(RotheConfig.from_step(0.02, 0.3, max_branches=128), Mesh1D.uniform(10), graph,
+               lambda x: 1.5, branch_policy="all")
+    return tree, graph
+
+
+def test_replayed_states_are_the_stepped_states(monkeypatch):
+    # Each level's states as run() stepped from them, against the replay of
+    # every level and of every leaf's path, bit for bit, on trees whose path 0
+    # leaves row 0, one of them with a forcing that varies in time (quadratic
+    # in t, which both Simpson's rule and the oracle's quadrature integrate).
+    def forcing(t):
+        return np.full(6, 0.3 + 4 * t - 9 * t * t)
+
+    stepped, step_all = [], rothe.rothe_step_all
+
+    def recording(mesh, graph, parents, *args, **kw):
+        stepped.append(np.array(parents))
+        return step_all(mesh, graph, parents, *args, **kw)
+
+    monkeypatch.setattr(rothe, "rothe_step_all", recording)
+    trees = [_row_zero_dies_tree(), _row_zero_dies_tree(forcing), _row_zero_cut_tree()]
+    monkeypatch.undo()
+    assert [t.branch_counts()[-1] for t, _ in trees] == [2, 2, 128]
+    assert trees[2][0].truncated and not trees[2][0].terminated
+    for (tree, graph), f in zip(trees, (None, forcing, None)):
+        assert check_tree(tree, graph, f=f) == sum(tree.branch_counts()[1:])
+        stacks = list(tree.level_states())
+        ran, stepped = stepped[:tree.num_levels - 1], stepped[tree.num_levels - 1:]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(ran, stacks[:-1], strict=True))
+        assert any(tree.path_rows(0))
+        for leaf in range(len(tree.levels[-1])):
+            path = tree.path_states(leaf)
+            for k, (row, state) in enumerate(zip(tree.path_rows(leaf), path, strict=True)):
+                assert state.tobytes() == stacks[k][row].tobytes(), (leaf, k)
+    assert stepped == []
+
+
+def test_path_replays_only_where_it_leaves_row_zero(monkeypatch):
+    calls, interiors = [], rothe._interiors
+
+    def counted(op, parents, *args):
+        calls.append(len(parents))
+        return interiors(op, parents, *args)
+
+    monkeypatch.setattr(rothe, "_interiors", counted)
+    tree, _ = _row_zero_dies_tree()
+    calls.clear()  # the run's own steps
+    tree.path_states(0)
+    assert calls == [1] * sum(1 for row in tree.path_rows(0) if row)  # one column per level
+    calls.clear()
+    j1 = run(RotheConfig.from_step(0.05, 0.3, max_branches=128), Mesh1D.uniform(10),
+             clarke_subdifferential(potential_j1()), lambda x: 1.5, branch_policy="all")
+    calls.clear()
+    assert j1.max_branch_count > 1 and not any(j1.path_rows(0))
+    j1.path_states(0)
+    j1.boundary_values(0)
+    assert calls == []
+
+
+def test_require_solved_sees_a_non_finite_row_past_row_zero(monkeypatch):
+    # a NaN in the interior of a kept row past row 0, where the tree keeps
+    # no state: run() records it as it steps
+    step_all, calls = rothe.rothe_step_all, []
+
+    def poisoned(*args, **kw):
+        step = step_all(*args, **kw)
+        calls.append(len(step))
+        if len(calls) == 4:
+            step.states[-1, 0] = np.nan
+        return step
+
+    monkeypatch.setattr(rothe, "rothe_step_all", poisoned)
+    tree = run(RotheConfig.from_step(0.05, 0.3, max_branches=128), Mesh1D.uniform(10),
+               clarke_subdifferential(potential_j1()), lambda x: 1.5, branch_policy="all")
+    assert calls[3] >= 2 and len(tree.levels[4]) >= 2
+    assert tree.completed() and not tree.finite
+    assert all(np.isfinite(level.first).all() and np.isfinite(level.r).all()
+               for level in tree.levels)  # row 0 and the boundary values are finite
+    with pytest.raises(FloatingPointError, match="non-finite state in the solution tree"):
+        tree.require_solved()
 
 
 def test_backward_euler_dissipativity_pure_heat():
@@ -691,7 +795,7 @@ def test_step_membership_matches_exact_rational_step():
         c1 = float(rng.uniform(-0.5, 0.5))
         tree = run(RotheConfig(tau=tau, num_steps=3, max_branches=8), mesh, graph,
                    lambda x: c0 + c1 * x)
-        steps.extend((mesh, graph, level.states, tau) for level in tree.levels)
+        steps.extend((mesh, graph, states, tau) for states in tree.level_states())
     accepted, tolerated, rows = {}, 0, 0
     for mesh, graph, parents, tau in steps:
         step = rothe_step_all(mesh, graph, parents, tau, failures=[])
