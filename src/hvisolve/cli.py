@@ -311,10 +311,9 @@ def _write_levels(fh, sf, tree, levels, on_path, xs):
     rows = trajectory_rows(tree, levels.start)
     for k in levels:
         for row, values in zip(range(len(tree.levels[k])), rows):
-            line = ",".join(map(str, values))
-            fh.write(line + "\n")
+            fields = list(map(str, values))
+            fh.write(",".join(fields) + "\n")
             if row == on_path[k]:
-                fields = line.split(",")
                 sep = "," + fields[0] + ","
                 us = ["0.0", *fields[len(TRAJECTORY_HEADER):-1]]  # alpha_1..alpha_n
                 sf.write("\n".join(map(sep.join, zip(xs, us))) + "\n")

@@ -185,7 +185,7 @@ def growth_constant(g):
                 best = max(best, abs(seg.value(r)) / (1.0 + abs(r)))
             else:
                 best = max(best, abs(seg.slope))
-        if seg.r_lo < 0.0 < seg.r_hi:
+        if seg.r_lo < 0.0 < seg.r_hi:  # at an end r = 0, value(0) == intercept is counted above
             best = max(best, abs(seg.intercept))
     if not np.isfinite(best):
         raise UnboundedGrowthError("graph grows faster than linearly")

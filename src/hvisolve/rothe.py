@@ -106,7 +106,7 @@ class RotheConfig:
             raise ValueError("tau=%r is too small for horizon=%r: horizon/tau must be "
                              "below 2**53, got %r" % (tau, horizon, ratio))
         steps = round(ratio)
-        if steps < 1 or abs(steps * tau - horizon) > 1e-12:
+        if steps < 1 or abs(steps * tau - horizon) > 1e-12 * max(1.0, horizon):
             raise ValueError("tau=%r does not divide horizon=%r: horizon/tau must be a "
                              "whole number, got %r" % (tau, horizon, ratio))
         return cls(tau=tau, num_steps=steps, **kw)
@@ -209,17 +209,16 @@ class SolutionTree:
 
     def level_states(self):
         """The (m, n) stack of each level's states, in order, as ``run`` found
-        them, bit for bit: rows 1.. of a level are stepped from their distinct
-        parents in the stack before and given their stored boundary values.
-        Two levels are held at a time."""
+        them, bit for bit: the whole stack before is stepped, as ``run`` stepped
+        it, and rows 1.. take their parents' interiors and their stored
+        boundary values.  Two levels are held at a time."""
         states = None
         for k, level in enumerate(self.levels):
             if len(level) == 1:
                 states = level.first[None, :]
             else:
-                parents, rows = np.unique(level.parent[1:], return_inverse=True)
                 states = np.concatenate((level.first[None, :], self._stepped(
-                    k, states[parents], rows, level.r[1:])))
+                    k, states, level.parent[1:], level.r[1:])))
             yield states
 
     def quote_failures(self, level):
@@ -467,15 +466,17 @@ def _merge_duplicates(states):
 
     Two states within DEDUPE_TOL of each other have boundary values within it
     too, so each row is compared only with the kept rows whose boundary value
-    lies within 2*DEDUPE_TOL of its own (the factor 2 covers rounding in the
-    window ends), found in the boundary values sorted once.
+    lies within 2*DEDUPE_TOL of its own, found in the boundary values sorted
+    once.  The factor 2 is slack: rounding is monotone, so a boundary value
+    within DEDUPE_TOL of b already lies in [fl(b - DEDUPE_TOL), fl(b + DEDUPE_TOL)].
     """
     if len(states) < 2:
         return np.arange(len(states))
     bounds = states[:, -1]
-    order = np.argsort(bounds, kind="stable")
+    order = np.argsort(bounds, kind="stable")  # any sort: a window is read as a set of rows
     ranked = bounds[order]
     starts = np.searchsorted(ranked, bounds - 2 * DEDUPE_TOL, side="left").tolist()
+    # side="right" keeps a row's equals in its window where b + 2*DEDUPE_TOL rounds to b
     stops = np.searchsorted(ranked, bounds + 2 * DEDUPE_TOL, side="right").tolist()
     kept = np.zeros(len(states), dtype=bool)
     for i, (lo, hi) in enumerate(zip(starts, stops)):
@@ -502,7 +503,7 @@ def _spread_by_boundary(states, kept, cap):
     """``cap`` entries of ``kept``, in their order, at evenly spaced ranks of
     their boundary values: the lowest, and for a cap above one the highest,
     are always among them, so a cut level keeps the envelope of the level."""
-    order = np.argsort(states[kept, -1], kind="stable")
+    order = np.argsort(states[kept, -1], kind="stable")  # ties go to the earlier row
     ranks = np.round(np.linspace(0, len(kept) - 1, cap)).astype(np.intp)
     return kept[np.sort(order[ranks])]
 
@@ -543,6 +544,6 @@ def run(config, mesh, graph, u0, f=None, branch_policy="all"):
         if len(kept) > config.max_branches:
             kept = _spread_by_boundary(step.states, kept, config.max_branches)
             tree.truncated = True
-        level = step.take(kept)
+        level = step if len(kept) == len(step) else step.take(kept)  # kept is increasing
         keep(level)
     return tree

@@ -1,3 +1,4 @@
+import collections
 import functools
 import gc
 import math
@@ -13,6 +14,8 @@ from hvisolve import (
     MeshNorms,
     PiecewiseQuadraticPotential,
     RotheConfig,
+    SubdifferentialGraph,
+    VerticalSegment,
     assemble_mass,
     assemble_stiffness,
     clarke_subdifferential,
@@ -62,6 +65,17 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError, match="got %s$" % re.escape(got)):
             build()
+
+
+def test_from_step_accepts_every_step_of_a_large_horizon():
+    # steps * tau rounds by about horizon * 2**-53: past a few thousand that
+    # exceeds an absolute 1e-12, which rejected 128 of these grids at 12345
+    # and 229 at 1e5
+    for horizon in (0.125, 1.0, 5000.0, 12345.0, 1e5):
+        for steps in range(1, 2001):
+            assert RotheConfig.from_step(horizon / steps, horizon).num_steps == steps
+    with pytest.raises(ValueError, match="does not divide"):  # a near miss still fails
+        RotheConfig.from_step(12345.0 / 41 * (1 + 1e-9), 12345.0)
 
 
 def test_clement_average_zero_and_constant():
@@ -364,6 +378,20 @@ def test_membership_tolerance_at_segment_ends():
         assert [tags[s] for s in level.segment] == want, e0
 
 
+def test_segment_ends_widened_by_the_tolerance_are_inside():
+    # A zero parent without forcing has e0 = 0, so every segment's t is 0.0;
+    # each segment but the middle one has an end at exactly 0.0 once widened
+    # by MEMBERSHIP_TOL, and the closed test takes it
+    tol = MEMBERSHIP_TOL
+    graph = SubdifferentialGraph([
+        AffineSegment(-math.inf, -tol, 0.5, 0.0), AffineSegment(-tol, tol, 0.0, 0.0),
+        VerticalSegment(0.0, tol, 1.0), VerticalSegment(0.0, -1.0, -tol),
+        AffineSegment(tol, math.inf, 2.0, 0.0)])
+    level = rothe_step_all(Mesh1D.uniform(4), graph, np.zeros(4), 0.1, failures=[])
+    assert level.segment.tolist() == [0, 1, 2, 3, 4]
+    assert not level.states.any() and not level.flux.any()
+
+
 def _merged_indices(states):
     return rothe._merge_duplicates(np.asarray(states)).tolist()
 
@@ -409,6 +437,31 @@ def test_windowed_merge_matches_greedy_oracle():
         kept += len(want) - len(base)
     # both decisions occur among the planted rows
     assert merged > 1000 and kept > 1000
+
+
+def test_merge_window_holds_equal_boundary_values_past_2_to_21():
+    # From 2**21 on, b + 2*DEDUPE_TOL rounds to b: the window must still hold
+    # the rows equal to b, or exact duplicates are never compared
+    for b in (1.0, 4e6, -4e6, 1e12):
+        states = np.array([[0.5, b], [0.5, b], [0.25, b]])
+        assert _merged_indices(states) == [0, 2] == greedy_merge_indices(states, rothe.DEDUPE_TOL)
+
+
+def test_cut_breaks_boundary_ties_by_row():
+    # Children on one vertical segment share its boundary value exactly (j1's
+    # v2 at r = 1); among equal boundary values the cut ranks the earlier row
+    # first, so its picks do not depend on the sort numpy uses
+    rng = np.random.default_rng(5)
+    for size, cap in ((40, 7), (120, 64), (17, 16)):
+        states = np.zeros((size, 3))
+        states[:, -1] = rng.choice([0.0, 1.0, 1.0, 2.0], size)
+        kept = np.sort(rng.choice(size + 10, size, replace=False))
+        by_rank = sorted(range(size), key=lambda i: (states[i, -1], i))
+        ranks = np.round(np.linspace(0, size - 1, cap)).astype(int)
+        want = kept[sorted(by_rank[i] for i in ranks)]
+        padded = np.zeros((size + 10, 3))
+        padded[kept] = states
+        assert rothe._spread_by_boundary(padded, kept, cap).tolist() == want.tolist()
 
 
 def test_step_enumeration_matches_scan_oracle():
@@ -578,8 +631,9 @@ def test_tree_memory_is_its_level_arrays():
     assert held <= 2 * links + path + widest, (held, links, path, widest)
 
 
-def _traced_peak(fn, *args):
-    """Peak bytes that fn(*args) holds above what was held before, by tracemalloc."""
+def _traced(fn, *args):
+    """fn(*args), the peak bytes it held above what was held before, and the
+    bytes its result holds when it returns, by tracemalloc."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -587,11 +641,17 @@ def _traced_peak(fn, *args):
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - before
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+        return result, peak - before, held - before
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes that fn(*args) holds above what was held before, by tracemalloc."""
+    return _traced(fn, *args)[1]
 
 
 def _wide_stack(mesh, m):
@@ -618,6 +678,33 @@ def test_norm_scratch_is_bounded_by_its_path():
     path = list(_wide_stack(mesh, 400))
     stack = len(path) * mesh.n * 8
     assert _traced_peak(interpolant_norms, mesh, path, 0.01) < 3 * stack
+
+
+def _j1_enumerate_run():
+    mesh, graph = Mesh1D.uniform(100), clarke_subdifferential(potential_j1())
+    cfg = RotheConfig.from_step(0.0025, 0.5, max_branches=128)
+    run(RotheConfig(tau=cfg.tau, num_steps=1), mesh, graph, lambda x: 2.0)  # warm the cache
+    return functools.partial(run, cfg, mesh, graph, lambda x: 2.0, branch_policy="all")
+
+
+def test_run_keeps_the_step_block_of_a_whole_level():
+    # Above its finished tree, run() holds the level it steps from, the step's
+    # scratch and its children: 5.0 widest-level blocks on j1-enumerate, whose
+    # levels keep every child.  Copying each kept level through take() reads
+    # 6.2.
+    tree, peak, held = _traced(_j1_enumerate_run())
+    widest = tree.max_branch_count * tree.mesh.n * 8
+    assert peak - held < 5.4 * widest, (peak, held, widest)
+
+
+def test_replay_steps_the_level_before_in_place():
+    # The replay holds two levels, the interior solve of the one before and
+    # its children: 4.7 widest-level blocks on j1-enumerate.  Gathering the
+    # parents of rows 1.. before stepping them reads 5.8.
+    tree = _j1_enumerate_run()()
+    widest = tree.max_branch_count * tree.mesh.n * 8
+    replay = functools.partial(collections.deque, maxlen=0)
+    assert _traced_peak(replay, tree.level_states()) < 5.2 * widest
 
 
 def test_run_with_forcing_reaches_discrete_steady_state():
