@@ -358,7 +358,8 @@ def convergence_study(problem, tau_list, reference_tau):
     err_L2V integrates the squared V-norm difference of the two
     piecewise-constant interpolants over the reference intervals.  Every step
     must divide the horizon (RotheConfig decides), and only coincident time
-    nodes enter: each tau must span a whole number, at least 4, of reference steps.
+    nodes enter: each tau must span a whole number, at least 4, of reference
+    steps.  A step given twice, or two taus of one time grid, is an error.
     """
     taus = sorted(tau_list, reverse=True)
     if not taus:
@@ -370,6 +371,8 @@ def convergence_study(problem, tau_list, reference_tau):
         if rest or ratio < 4:
             raise ValueError("each tau must be a multiple of at least 4 reference steps "
                              "(reference tau=%r), got tau=%r" % (reference_tau, tau))
+        if ratio in ratios:
+            raise ValueError("repeated step tau=%r: its time grid is already in the list" % tau)
         ratios.append(ratio)
     kit = MeshNorms(problem.mesh)
     ref_tree = problem.solve(reference_tau)

@@ -509,11 +509,13 @@ def cmd_check(args):
 
 # ---------------------------------------------------------------------------
 
-def _add_experiment_flags(p):
+def _experiment_flags():
+    p = argparse.ArgumentParser(add_help=False)  # the parent of run, branches and converge
     p.add_argument("--preset", choices=sorted(PRESETS), help="pin the bundled reference settings")
     p.add_argument("--config", help="key=value config file (flags win)")
     for f in fields(ExperimentConfig):
         p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=f.type, **f.metadata)
+    return p
 
 
 class _Parser(argparse.ArgumentParser):
@@ -532,18 +534,19 @@ def build_parser():
                     "multivalued boundary condition, with per-step solution enumeration.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    experiment = [_experiment_flags()]
 
-    p_run = sub.add_parser("run", help="single experiment; trajectory, norms, surface data")
-    _add_experiment_flags(p_run)
+    p_run = sub.add_parser("run", parents=experiment,
+                           help="single experiment; trajectory, norms, surface data")
     p_run.add_argument("--dump-matrices", action="store_true")
     p_run.set_defaults(func=cmd_run)
 
-    p_br = sub.add_parser("branches", help="extreme-branch runs and their boundary spread")
-    _add_experiment_flags(p_br)
+    p_br = sub.add_parser("branches", parents=experiment,
+                          help="extreme-branch runs and their boundary spread")
     p_br.set_defaults(func=cmd_branches)
 
-    p_cv = sub.add_parser("converge", help="error table against a fine-step reference")
-    _add_experiment_flags(p_cv)
+    p_cv = sub.add_parser("converge", parents=experiment,
+                          help="error table against a fine-step reference")
     p_cv.add_argument("--taus", required=True, help="comma-separated step sizes")
     p_cv.add_argument("--reference-tau", required=True, dest="reference_tau")
     p_cv.set_defaults(func=cmd_converge)

@@ -9,9 +9,8 @@ jumps are covered too.
 """
 
 import bisect
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 # Closed-interval membership at breakpoints, absolute.
 MEMBERSHIP_TOL = 1e-12
@@ -46,7 +45,7 @@ class PiecewiseQuadraticPotential:
                 "need exactly len(breakpoints)+1 pieces, got %d for %d breakpoints"
                 % (len(self.pieces), len(self.breakpoints))
             )
-        if not (np.all(np.isfinite(self.breakpoints)) and np.all(np.isfinite(self.pieces))):
+        if not all(map(math.isfinite, self.breakpoints + sum(self.pieces, ()))):
             raise PotentialError("breakpoints and coefficients must be finite")
         for a, b in zip(self.breakpoints, self.breakpoints[1:]):
             if not a < b:
@@ -117,7 +116,7 @@ class SubdifferentialGraph:
         self.vertical = tuple(s for s in self.segments if isinstance(s, VerticalSegment))
         if not self.affine:
             raise PotentialError("graph needs at least one affine segment")
-        if not (self.affine[0].r_lo == -np.inf and self.affine[-1].r_hi == np.inf):
+        if not (self.affine[0].r_lo == -math.inf and self.affine[-1].r_hi == math.inf):
             raise PotentialError("affine segments must cover all of R")
         for a, b in zip(self.affine, self.affine[1:]):
             if a.r_hi != b.r_lo:
@@ -125,8 +124,7 @@ class SubdifferentialGraph:
 
     def select(self, r):
         """The set returned by the graph at r, as a closed interval (lo, hi)."""
-        lo = np.inf
-        hi = -np.inf
+        lo, hi = math.inf, -math.inf
         for seg in self.segments:
             if isinstance(seg, AffineSegment):
                 if seg.contains(r):
@@ -149,7 +147,7 @@ def clarke_subdifferential(j):
     derivative where it exists and the convex hull of the one-sided limits at
     kinks; both are exactly representable here.
     """
-    cuts = (-np.inf,) + j.breakpoints + (np.inf,)
+    cuts = (-math.inf,) + j.breakpoints + (math.inf,)
     segments = []
     for i, (c2, c1, _) in enumerate(j.pieces):
         if i > 0:
@@ -181,13 +179,13 @@ def growth_constant(g):
             best = max(best, max(abs(seg.xi_lo), abs(seg.xi_hi)) / (1.0 + abs(seg.r)))
             continue
         for r in (seg.r_lo, seg.r_hi):
-            if np.isfinite(r):
+            if math.isfinite(r):
                 best = max(best, abs(seg.value(r)) / (1.0 + abs(r)))
             else:
                 best = max(best, abs(seg.slope))
         if seg.r_lo < 0.0 < seg.r_hi:  # at an end r = 0, value(0) == intercept is counted above
             best = max(best, abs(seg.intercept))
-    if not np.isfinite(best):
+    if not math.isfinite(best):
         raise UnboundedGrowthError("graph grows faster than linearly")
     return best
 
@@ -218,4 +216,4 @@ def potential_j2():
 
 def zero_flux_graph():
     """The trivial graph xi = 0 on all of R (plain homogeneous Neumann end)."""
-    return SubdifferentialGraph([AffineSegment(-np.inf, np.inf, 0.0, 0.0)])
+    return SubdifferentialGraph([AffineSegment(-math.inf, math.inf, 0.0, 0.0)])

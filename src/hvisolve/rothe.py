@@ -192,10 +192,8 @@ class SolutionTree:
             yield ids
 
     def step_forcing(self, k):
-        """The forcing vector of step k, as ``run`` steps with it."""
-        if self.forcing is None:
-            return np.zeros(self.mesh.n)
-        return clement_average(self.forcing, self.config.tau, k)
+        """The forcing vector of step k as ``run`` steps with it, None without forcing."""
+        return None if self.forcing is None else clement_average(self.forcing, self.config.tau, k)
 
     def _stepped(self, k, parents, rows, r):
         """The states of boundary values ``r`` that step k reaches from the
@@ -405,8 +403,7 @@ def _interiors(op, parents, tau, f_k):
     that row alone."""
     rhs = op.mass.matvec(parents)
     rhs /= tau
-    if f_k is not None:
-        rhs += np.asarray(f_k, dtype=float)
+    rhs += 0.0 if f_k is None else np.asarray(f_k, dtype=float)  # a zero vector's bits
     y = op.interior.solve(rhs[:, :-1].T).T
     return y, rhs[:, -1] - op.coupling * y[:, -1]
 

@@ -188,6 +188,13 @@ def exact_step(n, graph, prev, tau):
     coupling = a[n - 1][n - 2]
     g = a[n - 1][n - 1] - coupling * w[-1]
     e0 = rhs[n - 1] - coupling * y[-1]
+    return g, e0, exact_cases(graph, g, e0)
+
+
+def exact_cases(graph, g, e0):
+    """Where the line xi = e0 - g*r meets each graph segment, in Fraction
+    arithmetic: the cases of exact_step for a step with Schur complement g
+    and flux offset e0 (both rationals)."""
     cases = []
     for seg in graph.segments:
         if isinstance(seg, VerticalSegment):
@@ -203,7 +210,39 @@ def exact_step(n, graph, prev, tau):
             ends = [r - Fraction(seg.r_lo) if math.isfinite(seg.r_lo) else math.inf,
                     Fraction(seg.r_hi) - r if math.isfinite(seg.r_hi) else math.inf]
         cases.append((r, flux, min(ends)))
-    return g, e0, cases
+    return cases
+
+
+def exact_solution_count(graph, g, e0, tol=1e-9):
+    """The number of distinct boundary values r solving the step of
+    exact_cases, those within ``tol`` of the last counted one counted once:
+    a corner is reported by two segments, whose float ends meet only up to
+    rounding."""
+    rs = sorted(case[0] for case in exact_cases(graph, g, e0) if case and case[2] >= 0)
+    return sum(1 for i, r in enumerate(rs) if i == 0 or r - rs[i - 1] > tol)
+
+
+def is_monotone_step(graph, g):
+    """Whether r -> g*r + dj(r) is monotone: every affine slope above -g and
+    every vertical segment an upward jump (its left neighbour's value at its
+    point is the lower end)."""
+    segs = graph.segments
+    return (all(g + Fraction(seg.slope) > 0 for seg in graph.affine)
+            and all(segs[i - 1].value(seg.r) < segs[i + 1].value(seg.r)
+                    for i, seg in enumerate(segs) if isinstance(seg, VerticalSegment)))
+
+
+def semi_discrete_heat(mesh, a0, times):
+    """The exact solution of M a' + K a = 0 from a(0) = a0, the zero-flux
+    semi-discrete heat equation, at each of ``times``: with M = L L^T and
+    S = L^{-1} K L^{-T} = Q diag(lam) Q^T from a dense eigh, L^T a(t) =
+    Q exp(-lam t) Q^T L^T a0.  An (len(times), n) array."""
+    m, k = dense_mass_and_stiffness(mesh)
+    low = np.linalg.cholesky(m)
+    half = np.linalg.solve(low, k)  # L^{-1} K
+    lam, q = np.linalg.eigh(np.linalg.solve(low, half.T))  # L^{-1} (L^{-1} K)^T
+    coef = q.T @ (low.T @ np.asarray(a0, dtype=float))
+    return np.array([np.linalg.solve(low.T, q @ (np.exp(-lam * t) * coef)) for t in times])
 
 
 def step_mean(f, tau, k):

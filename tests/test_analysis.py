@@ -19,10 +19,18 @@ from hvisolve import (
     heat_series_solution,
     interpolant_norms,
     potential_j2,
+    project_initial,
     run,
     zero_flux_graph,
 )
-from oracles import brute_force_bv2, dense_dual_norm, interpolant_gap, to_dense
+from oracles import (
+    brute_force_bv2,
+    dense_dual_norm,
+    dense_mass_and_stiffness,
+    interpolant_gap,
+    semi_discrete_heat,
+    to_dense,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +257,31 @@ def test_convergence_pure_heat_errors_shrink():
     assert errs[0] > errs[1] > errs[2] > 0
     assert table.rows[0].tau > table.rows[1].tau > table.rows[2].tau
     assert not table.branch_mismatch
+
+
+def test_rothe_is_first_order_in_time_against_the_semi_discrete_solution():
+    # backward Euler against the exact solution of M a' + K a = 0 on the same
+    # mesh, so only the time error is left: at t = 1 it halves with tau for
+    # both data.  Its maximum over the time nodes halves for the smooth datum;
+    # const:2 breaks the Dirichlet condition at x = 0, and the initial layer
+    # of the first steps falls only ~1.2x per halving
+    mesh = Mesh1D.uniform(50)
+    m = dense_mass_and_stiffness(mesh)[0]
+    for u0, worst_rate in ((lambda x: math.sin(math.pi * x / 2), (1.9, 2.1)),
+                           (lambda x: 2.0, (1.0, 1.5))):
+        a0 = project_initial(mesh, u0)
+        at_end, worst = [], []
+        for tau in (0.04, 0.02, 0.01, 0.005):
+            tree = run(RotheConfig.from_step(tau, 1.0), mesh, zero_flux_graph(), u0,
+                       branch_policy="first")
+            states = np.array(tree.path_states(0))
+            diff = states - semi_discrete_heat(mesh, a0, tau * np.arange(len(states)))
+            h = np.sqrt(np.einsum("ki,ij,kj->k", diff, m, diff))
+            at_end.append(h[-1])
+            worst.append(h.max())
+        assert all(1.9 <= a / b <= 2.1 for a, b in zip(at_end, at_end[1:])), at_end
+        lo, hi = worst_rate
+        assert all(lo < a / b < hi for a, b in zip(worst, worst[1:])), worst
 
 
 def test_bound_and_convergence_sums_match_dense_loops():

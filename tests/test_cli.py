@@ -304,6 +304,16 @@ def test_converge_rejects_bad_taus(tmp_path, capsys):
     assert "config error:" in err and "got []" in err, err
 
 
+def test_converge_rejects_a_repeated_step(tmp_path, capsys):
+    for taus in ("0.1,0.1", "0.1,0.05,0.1", "0.1,0.1000000000000001"):
+        code = _run_cli("converge", "--potential", "j2", "--nx", "10", "--T", "0.5",
+                        "--taus", taus, "--reference-tau", "0.0125", "--out", str(tmp_path / "o"))
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "", taus
+        assert captured.err.startswith("config error: repeated step tau=0.1"), captured.err
+    assert not (tmp_path / "o" / "convergence.csv").exists()
+
+
 def test_converge_reports_numerical_failure(tmp_path, capsys):
     # at n=4, dx=1/4, tau=0.025 the only segment (slope 2*c2) is parallel to
     # the Schur line, so the reference run dies at its first step
@@ -391,6 +401,16 @@ def test_experiment_flags_are_the_config_fields(command, own_flags):
     flags = [a.option_strings for a in actions[3:3 + len(names)]]
     assert flags == [["--" + name.replace("_", "-")] for name in names]
     assert set().union(*cli.PRESETS.values()) <= set(names)
+
+
+def test_experiment_subparsers_share_one_action_per_flag():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    names = ["preset", "config", *(f.name for f in fields(cli.ExperimentConfig))]
+    shared = [{a.dest: a for a in subparsers.choices[command]._actions}
+              for command in ("run", "branches", "converge")]
+    for name in names:
+        assert shared[0][name] is shared[1][name] is shared[2][name], name
 
 
 def test_unset_flags_leave_the_field_defaults():
@@ -687,6 +707,20 @@ def test_cli_import_leaves_heavy_modules_out():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_signed_zero_datum_keeps_its_bytes(tmp_path):
+    # u0 = -0.0 at every node: the root row keeps its negative zeros, and the
+    # first step adds the zero vector of no forcing, which makes them 0.0
+    out = tmp_path / "o"
+    assert _run_cli("run", "--potential", "j2", "--nx", "6", "--dt", "0.1", "--T", "0.3",
+                    "--u0", "expr:-0.0*x", "--out", str(out)) == 0
+    assert (out / "trajectory.csv").read_text().splitlines()[1:] == [
+        "0.0,0,,init," + "-0.0," * 6,
+        "0.1,0.0,0,a0," + "0.0," * 6 + "0.0",
+        "0.2,0.0.0,0.0,a0," + "0.0," * 6 + "0.0",
+        "0.30000000000000004,0.0.0.0,0.0.0,a0," + "0.0," * 6 + "0.0",
+    ]
 
 
 def test_dump_matrices(tmp_path, capsys):

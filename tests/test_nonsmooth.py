@@ -1,3 +1,6 @@
+import math
+import types
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from hvisolve import (
     potential_j2,
     zero_flux_graph,
 )
+from hvisolve import nonsmooth
 from oracles import fd_directional_sup, random_potential
 
 
@@ -191,3 +195,13 @@ def test_linear_tails_flag():
 
     assert tail_slopes(potential_j1()) == [0.0, 0.0]
     assert tail_slopes(PiecewiseQuadraticPotential([], [(0.5, 0.0, 0.0)])) == [1.0]
+
+
+def test_graph_layer_runs_on_plain_floats():
+    assert not [v for v in vars(nonsmooth).values()
+                if isinstance(v, types.ModuleType) and v.__name__.split(".")[0] == "numpy"]
+    graph = clarke_subdifferential(potential_j1())
+    assert graph.affine[0].r_lo == -math.inf and graph.affine[-1].r_hi == math.inf
+    lo, hi = graph.select(1.0)
+    assert (type(lo), type(hi), lo, hi) == (float, float, 0.0, 1.0)
+    assert type(growth_constant(graph)) is float

@@ -4,6 +4,7 @@ import gc
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,9 +34,11 @@ from hvisolve.nonsmooth import MEMBERSHIP_TOL
 from oracles import (
     branch_id,
     check_tree,
+    exact_solution_count,
     exact_step,
     greedy_merge_indices,
     interpolant_gap,
+    is_monotone_step,
     random_potential,
     schur_parallel_j1,
     schur_scan_solutions,
@@ -907,3 +910,68 @@ def test_step_membership_matches_exact_rational_step():
             rows += 1
     assert rows >= 60 and tolerated == 2
     assert len(accepted) == 2 and min(accepted.values()) >= 3, accepted
+
+
+def test_no_forcing_adds_a_zero_vector_to_signed_zeros():
+    # -0.0 + 0.0 is 0.0: a parent of negative zeros steps to positive zeros
+    # both without a forcing and with a zero forcing, as run() writes them
+    mesh = Mesh1D.uniform(6)
+    graph = clarke_subdifferential(potential_j2())
+    parent = -0.0 * mesh.nodes
+    for rows in (parent, np.vstack([parent, parent])):
+        none = rothe_step_all(mesh, graph, rows, 0.1, None, failures=[])
+        zero = rothe_step_all(mesh, graph, rows, 0.1, np.zeros(mesh.n), failures=[])
+        assert _same_bits(none, zero)
+        assert not np.signbit(none.states).any()
+    tree = run(RotheConfig.from_step(0.1, 0.3), mesh, graph, lambda x: -0.0 * x)
+    assert tree.step_forcing(1) is None
+    stacks = list(tree.level_states())
+    assert np.signbit(stacks[0]).all() and not np.signbit(np.concatenate(stacks[1:])).any()
+
+
+def _probed_offsets(graph, g):
+    """e0 on a grid of quarters, and at each vertical segment's ends and midpoint."""
+    offsets = [Fraction(k, 4) for k in range(-60, 61)]
+    for seg in graph.vertical:
+        offsets += [g * Fraction(seg.r) + Fraction(xi)
+                    for xi in (seg.xi_lo, (seg.xi_lo + seg.xi_hi) / 2, seg.xi_hi)]
+    return offsets
+
+
+def test_monotone_step_has_one_solution_for_every_offset():
+    # the discrete form of the paper's uniqueness condition, on the oracles
+    # alone: r -> g*r + dj(r) monotone gives one merged child for every e0
+    g = exact_step(4, zero_flux_graph(), [0.0] * 4, 0.5)[0]
+    rng = np.random.default_rng(29)
+    monotone = other = 0
+    while monotone < 30:
+        graph = clarke_subdifferential(random_potential(rng, max_curvature=2.0))
+        if not is_monotone_step(graph, g):
+            other += 1
+            continue
+        monotone += 1
+        for e0 in _probed_offsets(graph, g):
+            assert exact_solution_count(graph, g, e0) == 1, (graph, e0)
+    assert other > monotone  # slopes below -g and downward jumps were drawn too
+    j1 = clarke_subdifferential(potential_j1())  # a downward jump from 1 to 0 at r = 1
+    assert not is_monotone_step(j1, g)
+    counts = [exact_solution_count(j1, g, e0) for e0 in _probed_offsets(j1, g)]
+    assert max(counts) == 3 and min(counts) == 1
+
+
+def test_extreme_branch_spread_falls_as_tau_halves():
+    # j1 from u0 = 2: the largest gap between the min_boundary and
+    # max_boundary runs' boundary values over t in [0, 1], as `branches`
+    # prints it.  It falls 1.13-1.27x per halving, peaking near t = 0.38
+    mesh = Mesh1D.uniform(100)
+    graph = clarke_subdifferential(potential_j1())
+    spreads = []
+    for tau in (0.04, 0.02, 0.01, 0.005, 0.0025):
+        lo, hi = (run(RotheConfig.from_step(tau, 1.0), mesh, graph, lambda x: 2.0,
+                      branch_policy=policy).require_solved().boundary_values()
+                  for policy in ("min_boundary", "max_boundary"))
+        spread = hi - lo
+        assert 0.35 <= np.argmax(spread) * tau <= 0.4, tau
+        spreads.append(float(spread.max()))
+    assert all(1.1 < a / b < 1.3 for a, b in zip(spreads, spreads[1:])), spreads
+    assert abs(spreads[0] - 0.2643) < 1e-4 and abs(spreads[-1] - 0.1331) < 1e-4, spreads
