@@ -55,7 +55,9 @@ PRESETS = {
 class ExperimentConfig:
     """Settings of run, branches and converge, one field each: the name is the
     config key and, with - for _, the flag after --; the type casts a config
-    value, and the metadata holds the flag's help and choices."""
+    value, and the metadata holds the flag's help and choices.  Construction
+    checks every input but the time grid and keeps the parsed ``mesh``, ``graph``
+    and ``initial`` (the u0 callable) as plain attributes, not fields."""
 
     potential: str = field(default=None, metadata={"choices": ["j1", "j2", "custom"]})
     breakpoints: str = field(default="", metadata={
@@ -79,10 +81,9 @@ class ExperimentConfig:
             raise ConfigError("no potential given (use --potential or --preset)")
         if self.policy not in BRANCH_POLICIES:
             raise ConfigError("policy must be one of %s" % (", ".join(BRANCH_POLICIES)))
-        self.mesh()
-
-    def mesh(self):
-        return _config_checked(Mesh1D.uniform, self.nx)
+        self.mesh = _config_checked(Mesh1D.uniform, self.nx)
+        self.graph = parse_potential(self)
+        self.initial = parse_u0(self.u0)
 
     def time_grid(self):
         """Steps of dt up to T, for the subcommands that step with dt."""
@@ -105,7 +106,11 @@ def read_kv_file(path, casts, what):
     ``what``), then, in file order, a key not in ``casts`` (an unknown
     ``what``) or a value its cast rejects."""
     out, repeated = {}, []
-    for raw in Path(path).read_text().splitlines():
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        raise ConfigError("%s is not UTF-8 text: %s" % (path, err)) from err
+    for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -405,7 +410,7 @@ pause -1 "surface of u(x,t); press enter"
 # subcommands
 
 def _solve(cfg, grid, policy):
-    tree = run(grid, cfg.mesh(), parse_potential(cfg), parse_u0(cfg.u0), branch_policy=policy)
+    tree = run(grid, cfg.mesh, cfg.graph, cfg.initial, branch_policy=policy)
     return tree.require_solved()
 
 
@@ -418,12 +423,11 @@ def _report_failures(label, count, first):
 
 def cmd_run(args):
     cfg = merge_config(args)
-    grid = cfg.time_grid()
-    outdir = output_dir(cfg)
-    tree = _solve(cfg, grid, cfg.policy)
+    tree = _solve(cfg, cfg.time_grid(), cfg.policy)
     report = interpolant_norms(tree.mesh, tree.path_states(0), cfg.dt)
     if not np.isfinite(astuple(report)).all():
         raise FloatingPointError("non-finite norm in %r" % (report,))
+    outdir = output_dir(cfg)
     write_trajectory(outdir / "trajectory.csv", tree, surface=outdir / "surface.csv")
     (outdir / "plot.gp").write_text(PLOT_SCRIPT)
     write_csv(outdir / "norms.csv", NORMS_HEADER, [astuple(report)])
@@ -444,9 +448,9 @@ def cmd_run(args):
 def cmd_branches(args):
     cfg = merge_config(args)
     grid = cfg.time_grid()
-    outdir = output_dir(cfg)
     tree_min = _solve(cfg, grid, "min_boundary")
     tree_max = _solve(cfg, grid, "max_boundary")
+    outdir = output_dir(cfg)
     write_trajectory(outdir / "trajectory_min.csv", tree_min)
     write_trajectory(outdir / "trajectory_max.csv", tree_max)
     lo = tree_min.boundary_values()
@@ -463,26 +467,21 @@ def cmd_branches(args):
 
 def cmd_converge(args):
     cfg = merge_config(args)
-    outdir = output_dir(cfg)
     try:
         taus = [float(v) for v in args.taus.split(",") if v.strip()]
         reference = float(args.reference_tau)
     except ValueError as err:
         raise ConfigError("bad tau list: %s" % err) from err
-    graph = parse_potential(cfg)
     problem = StudyProblem(
-        mesh=cfg.mesh(), graph=graph, u0=parse_u0(cfg.u0),
+        mesh=cfg.mesh, graph=cfg.graph, u0=cfg.initial,
         policy=cfg.policy if cfg.policy != "all" else "first",
         horizon=cfg.T, max_branches=cfg.max_branches,
     )
-    try:
-        table = convergence_study(problem, taus, reference)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    table = _config_checked(convergence_study, problem, taus, reference)
     rows = [astuple(row) for row in table.rows]
     if not np.isfinite(np.array(rows, dtype=float)).all():
         raise FloatingPointError("non-finite error in the convergence table")
-    write_csv(outdir / "convergence.csv", CONVERGENCE_HEADER, rows)
+    write_csv(output_dir(cfg) / "convergence.csv", CONVERGENCE_HEADER, rows)
     for row in table.rows:
         print("tau=%-10g err_CH=%.6e err_L2V=%.6e branches=%d"
               % (row.tau, row.err_CH, row.err_L2V, row.branch_count))

@@ -95,6 +95,43 @@ def test_run_requires_potential(tmp_path):
     assert _run_cli("run", "--out", str(tmp_path / "x")) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["converge", "--potential", "j2", "--nx", "10", "--T", "0.5", "--taus", "0.1,0.1",
+      "--reference-tau", "0.025"],
+     "repeated step tau=0.1: its time grid is already in the list"),
+    (["run", "--potential", "j1", "--nx", "10", "--u0", "expr:x/0"],
+     "bad u0 expression 'x/0' at x=0.5: float division by zero"),
+    (["branches", "--potential", "custom", "--breakpoints", "0", "--pieces", "1:0:0"],
+     "bad custom potential: need exactly len(breakpoints)+1 pieces, got 1 for 1 breakpoints"),
+], ids=["converge-repeated-tau", "run-bad-u0", "branches-bad-potential"])
+def test_rejected_command_leaves_no_output_directory(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert _run_cli(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == "config error: %s\n" % message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--potential", "j1", "--u0", "expr:x/0"],
+    ["--potential", "j1", "--u0", "const:nan"],
+    ["--potential", "custom", "--breakpoints", "0", "--pieces", "1:0:0"],
+])
+def test_merge_config_rejects_bad_inputs(flags):
+    with pytest.raises(ConfigError):
+        merge_config(build_parser().parse_args(["run", *flags]))
+
+
+def test_branches_parses_each_input_once(tmp_path, monkeypatch):
+    calls = []
+    for name in ("parse_potential", "parse_u0"):
+        def counted(*args, _name=name, _parse=getattr(cli, name)):
+            calls.append(_name)
+            return _parse(*args)
+        monkeypatch.setattr(cli, name, counted)
+    assert _run_cli("branches", *J2_SMALL, "--out", str(tmp_path / "o")) == 0
+    assert sorted(calls) == ["parse_potential", "parse_u0"]
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["run", "--potential", "custom", "--breakpoints=", "--pieces", "-1.9375:7.25:0",
       "--nx", "2"], 1, "argument --pieces: expected one argument"),
@@ -219,7 +256,7 @@ def test_run_non_finite_later_row_is_numerical_failure(tmp_path, capsys, monkeyp
     assert calls[3] >= 2 and code == 2
     assert capsys.readouterr().err == (
         "numerical failure: non-finite state in the solution tree\n")
-    assert os.listdir(tmp_path / "o") == []
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
@@ -466,6 +503,17 @@ def test_kv_file_repeated_key_is_config_error(tmp_path, capsys, monkeypatch, arg
     (tmp_path / "kv.txt").write_text(text)
     assert _run_cli(*argv, "kv.txt") == 1
     assert capsys.readouterr().err == "config error: %s\n" % message
+
+
+@pytest.mark.parametrize("argv", [["run", "--config"], ["check", "--constants"]])
+def test_kv_file_undecodable_byte_is_config_error(tmp_path, capsys, monkeypatch, argv):
+    # a key=value file is read as UTF-8 whatever the locale
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kv.txt").write_bytes(b"potential = j2\nnx = \xff\n")
+    assert _run_cli(*argv, "kv.txt") == 1
+    assert capsys.readouterr().err == (
+        "config error: kv.txt is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+        "in position 20: invalid start byte\n")
 
 
 def test_u0_expression(tmp_path):

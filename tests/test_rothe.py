@@ -528,6 +528,12 @@ def test_run_j1_branches_and_extreme_policies_differ():
     hi = trees["max_boundary"].boundary_values()
     assert np.max(hi - lo) > 1e-6
     assert np.min(hi - lo) >= -1e-12
+    # the greedy extremes bracket the uncapped envelope: their boundary values
+    # are, bit for bit, each level's least and greatest r of the full tree
+    full = trees["all"]
+    assert not full.truncated
+    assert np.array_equal(lo, [level.r.min() for level in full.levels])
+    assert np.array_equal(hi, [level.r.max() for level in full.levels])
 
 
 def test_truncation_keeps_the_envelope():
