@@ -4,17 +4,14 @@ piecewise-quadratic potentials."""
 
 from .analysis import (
     AbstractConstants,
-    BoundSuiteVerdict,
     ConditionReport,
     ConvergenceTable,
     MeshNorms,
     NormReport,
     StudyProblem,
-    apriori_bound_suite,
     bv2_seminorm,
     check_conditions,
     convergence_study,
-    heat_series_solution,
     interpolant_norms,
 )
 from .fem1d import (

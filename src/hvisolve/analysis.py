@@ -1,5 +1,5 @@
 """Rothe interpolant norms, the quadratic-variation seminorm, step-size
-conditions, empirical bound suites, and the convergence-study harness.
+conditions, and the convergence-study harness.
 
 Norm conventions: the discrete dual norm of a step function's time derivative
 uses the action vector M*(u^k - u^{k-1})/tau of the difference quotient, i.e.
@@ -257,64 +257,6 @@ def check_conditions(k: AbstractConstants) -> ConditionReport:
 
 
 # ---------------------------------------------------------------------------
-# a priori bound suite
-
-@dataclass
-class BoundSuiteVerdict:
-    ok: bool
-    rows: list  # (tau, max_H, sum_sq_increments_H, tau_sum_V_sq)
-    violations: list
-
-    def lines(self):
-        out = ["tau        max_H      sum|du|_H^2  tau*sum|u|_V^2"]
-        for tau, q1, q2, q3 in self.rows:
-            out.append("%-10g %-10.5f %-12.5f %-10.5f" % (tau, q1, q2, q3))
-        out.append("bounded within 2x of coarsest: %s" % ("yes" if self.ok else "NO"))
-        out.extend("violated: " + v for v in self.violations)
-        return out
-
-
-def _lemma_quantities(tree):
-    kit = MeshNorms(tree.mesh)
-    states = np.array(tree.chain_states())
-    q1 = kit.h(states[1:]).max()
-    q2 = (kit.h(np.diff(states, axis=0)) ** 2).sum()
-    q3 = tree.config.tau * kit.v_sq(states[1:]).sum()
-    return float(q1), float(q2), float(q3)
-
-
-def apriori_bound_suite(runs):
-    """Empirical boundedness of the three per-step estimate quantities.
-
-    ``runs`` holds single-branch solution trees of the same problem over a
-    decreasing step sequence.  Each quantity must stay within twice its value
-    at the coarsest step; the factor is the test's decision, standing in for
-    existence of a step-independent constant.
-    """
-    if len(runs) < 2:
-        raise ValueError("need at least two runs")
-    taus = [t.config.tau for t in runs]
-    if any(b >= a for a, b in zip(taus, taus[1:])):
-        raise ValueError("runs must come in strictly decreasing tau order")
-    rows = []
-    violations = []
-    names = ("max_H", "sum_sq_increments_H", "tau_sum_V_sq")
-    base = None
-    for tree in runs:
-        q = _lemma_quantities(tree)
-        rows.append((tree.config.tau, *q))
-        if base is None:
-            base = q
-        else:
-            for name, val, ref in zip(names, q, base):
-                if val > 2.0 * ref:
-                    violations.append(
-                        "%s at tau=%g: %g > 2*%g" % (name, tree.config.tau, val, ref)
-                    )
-    return BoundSuiteVerdict(not violations, rows, violations)
-
-
-# ---------------------------------------------------------------------------
 # convergence study
 
 @dataclass
@@ -390,17 +332,4 @@ def convergence_study(problem, tau_list, reference_tau):
     failures.append((reference_tau, *ref_tree.failure_summary()))
     mismatch = len({r.branch_count for r in rows} | {ref_tree.max_branch_count}) > 1
     return ConvergenceTable(rows, branch_mismatch=mismatch, failures=failures)
-
-
-# ---------------------------------------------------------------------------
-# closed form for the pure-heat path
-
-def heat_series_solution(x, t, amplitudes):
-    """Separated-variables solution sum_m a_m exp(-lam_m^2 t) sin(lam_m x)."""
-    x = np.asarray(x, dtype=float)
-    u = np.zeros_like(x)
-    for m, a in enumerate(amplitudes, start=1):
-        lam = (m - 0.5) * math.pi
-        u += a * math.exp(-lam * lam * t) * np.sin(lam * x)
-    return u
 

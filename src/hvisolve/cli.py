@@ -38,7 +38,7 @@ from .nonsmooth import (
     potential_j1,
     potential_j2,
 )
-from .rothe import BRANCH_POLICIES, NoSolutionError, RotheConfig, run
+from .rothe import BRANCH_POLICIES, NoSolutionError, RotheConfig, project_initial, run
 
 
 class ConfigError(ValueError):
@@ -79,11 +79,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.potential is None:
             raise ConfigError("no potential given (use --potential or --preset)")
-        if self.policy not in BRANCH_POLICIES:
-            raise ConfigError("policy must be one of %s" % (", ".join(BRANCH_POLICIES)))
+        for f in fields(self):  # argparse checks a flag's choices, not a config file's value
+            value = getattr(self, f.name)
+            if "choices" in f.metadata and value not in f.metadata["choices"]:
+                raise ConfigError("%s must be one of %s, got %r"
+                                  % (f.name, ", ".join(f.metadata["choices"]), value))
         self.mesh = _config_checked(Mesh1D.uniform, self.nx)
         self.graph = parse_potential(self)
         self.initial = parse_u0(self.u0)
+        project_initial(self.mesh, self.initial)  # the datum must hold at every node
 
     def time_grid(self):
         """Steps of dt up to T, for the subcommands that step with dt."""
@@ -139,8 +143,6 @@ def merge_config(args):
     config = getattr(args, "config", None)
     merged = read_kv_file(config, settings, "config key") if config else {}
     if getattr(args, "preset", None):
-        if args.preset not in PRESETS:
-            raise ConfigError("unknown preset %r" % args.preset)
         merged.update(PRESETS[args.preset])
     for key in settings:
         value = getattr(args, key, None)
@@ -150,12 +152,12 @@ def merge_config(args):
 
 
 def parse_potential(cfg):
-    """The subdifferential graph of the configured potential."""
+    """The subdifferential graph of the configured potential (j1, j2 or custom)."""
     if cfg.potential == "j1":
         pot = potential_j1()
     elif cfg.potential == "j2":
         pot = potential_j2()
-    elif cfg.potential == "custom":
+    else:
         try:
             breakpoints = [float(v) for v in cfg.breakpoints.split(",") if v.strip()]
             pieces = []
@@ -167,8 +169,6 @@ def parse_potential(cfg):
             pot = PiecewiseQuadraticPotential(breakpoints, pieces)
         except (ValueError, PotentialError) as err:
             raise ConfigError("bad custom potential: %s" % err) from err
-    else:
-        raise ConfigError("potential must be j1, j2 or custom, got %r" % cfg.potential)
     return clarke_subdifferential(pot)
 
 
@@ -215,8 +215,8 @@ def parse_u0(text):
     """Initial datum from ``const:VALUE`` or ``expr:EXPRESSION`` in x.
 
     Expressions are evaluated node by node over a whitelist (see _eval_expr);
-    any failure or non-finite value, at parse time or at a mesh node, is a
-    ConfigError.
+    any failure or non-finite value, at parse time or at an x the callable is
+    given, is a ConfigError.
     """
     if text.startswith("const:"):
         try:
@@ -240,7 +240,6 @@ def parse_u0(text):
             except (ArithmeticError, ValueError, TypeError, RecursionError) as err:
                 raise ConfigError("bad u0 expression %r at x=%r: %s" % (expr, x, err)) from err
 
-        u0(0.5)
         return u0
     raise ConfigError("u0 must look like const:VALUE or expr:EXPRESSION, got %r" % text)
 
@@ -298,6 +297,8 @@ def trajectory_rows(tree, start=0):
 
 # Fork for a back half of this many floats: fork + waitpid of a 36 MB process took
 # 3.9 ms (median, 2 vCPUs) and a float's repr ~0.9 us, so the break-even is ~4.4k values.
+# The estimate is no margin to trim: made to fork on the j2-preset bench workload (5050
+# values behind the split), job_s rose in 7 of 8 alternating pairs of 10-s runs (2 vCPUs).
 FORK_MIN_VALUES = 20_000
 
 
@@ -485,8 +486,6 @@ def cmd_converge(args):
     for row in table.rows:
         print("tau=%-10g err_CH=%.6e err_L2V=%.6e branches=%d"
               % (row.tau, row.err_CH, row.err_L2V, row.branch_count))
-    if table.branch_mismatch:
-        print("warning: branch counts differ between runs; errors use the policy branch")
     for tau, count, first in table.failures:
         _report_failures(" (tau=%g)" % tau, count, first)
     print("wrote convergence.csv")

@@ -16,14 +16,12 @@ from hvisolve import (
     MeshNorms,
     RotheConfig,
     StudyProblem,
-    apriori_bound_suite,
     assemble_mass,
     assemble_stiffness,
     bv2_seminorm,
     check_conditions,
     clarke_subdifferential,
     convergence_study,
-    heat_series_solution,
     interpolant_norms,
     potential_j1,
     potential_j2,
@@ -32,9 +30,11 @@ from hvisolve import (
     zero_flux_graph,
 )
 from oracles import (
+    apriori_bound_suite,
     brute_force_bv2,
     check_tree,
     fd_directional_sup,
+    heat_series_solution,
     interpolant_gap,
     random_potential,
     schur_scan_solutions,

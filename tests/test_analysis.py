@@ -9,14 +9,12 @@ from hvisolve import (
     Mesh1D,
     RotheConfig,
     StudyProblem,
-    apriori_bound_suite,
     assemble_mass,
     assemble_stiffness,
     bv2_seminorm,
     check_conditions,
     clarke_subdifferential,
     convergence_study,
-    heat_series_solution,
     interpolant_norms,
     potential_j2,
     project_initial,
@@ -24,9 +22,11 @@ from hvisolve import (
     zero_flux_graph,
 )
 from oracles import (
+    apriori_bound_suite,
     brute_force_bv2,
     dense_dual_norm,
     dense_mass_and_stiffness,
+    heat_series_solution,
     interpolant_gap,
     semi_discrete_heat,
     to_dense,

@@ -100,10 +100,19 @@ def test_run_requires_potential(tmp_path):
       "--reference-tau", "0.025"],
      "repeated step tau=0.1: its time grid is already in the list"),
     (["run", "--potential", "j1", "--nx", "10", "--u0", "expr:x/0"],
-     "bad u0 expression 'x/0' at x=0.5: float division by zero"),
+     "bad u0 expression 'x/0' at x=0.1: float division by zero"),
     (["branches", "--potential", "custom", "--breakpoints", "0", "--pieces", "1:0:0"],
      "bad custom potential: need exactly len(breakpoints)+1 pieces, got 1 for 1 breakpoints"),
-], ids=["converge-repeated-tau", "run-bad-u0", "branches-bad-potential"])
+    # the datum is checked at every mesh node before the time grid
+    (["run", "--potential", "j1", "--nx", "10", "--u0", "expr:sqrt(x-0.5)", "--dt", "0.3"],
+     "bad u0 expression 'sqrt(x-0.5)' at x=0.1: math domain error"),
+    (["run", "--potential", "j1", "--u0", "const:abc"], "bad u0 constant 'const:abc'"),
+    (["run", "--potential", "j1", "--u0", "foo"],
+     "u0 must look like const:VALUE or expr:EXPRESSION, got 'foo'"),
+    (["converge", "--potential", "j2", "--taus", "0.1,x", "--reference-tau", "0.025"],
+     "bad tau list: could not convert string to float: 'x'"),
+], ids=["converge-repeated-tau", "run-bad-u0", "branches-bad-potential", "run-u0-before-dt",
+        "run-bad-u0-constant", "run-u0-without-prefix", "converge-bad-tau-list"])
 def test_rejected_command_leaves_no_output_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
     assert _run_cli(*argv, "--out", str(out)) == 1
@@ -262,13 +271,19 @@ def test_run_non_finite_later_row_is_numerical_failure(tmp_path, capsys, monkeyp
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_converge_non_finite_error_is_numerical_failure(tmp_path, capsys):
-    # the same overflowing states give err_CH = inf and err_L2V = nan
-    code = _run_cli("converge", "--potential", "custom", "--pieces", "0:1e308:0",
-                    "--nx", "4", "--T", "0.2", "--taus", "0.1", "--reference-tau", "0.025",
-                    "--out", str(tmp_path / "o"))
-    assert code == 2
-    assert "numerical failure:" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "convergence.csv").exists()
+    for flags, message in (
+        # the same overflowing pieces overflow the states themselves
+        (["--potential", "custom", "--pieces", "0:1e308:0", "--nx", "4", "--T", "0.2"],
+         "non-finite state in the solution tree"),
+        # finite states whose H and V norm differences overflow
+        (["--potential", "j2", "--u0", "const:1e200", "--nx", "10", "--T", "0.5"],
+         "non-finite error in the convergence table"),
+    ):
+        code = _run_cli("converge", *flags, "--taus", "0.1", "--reference-tau", "0.025",
+                        "--out", str(tmp_path / "o"))
+        assert code == 2, flags
+        assert capsys.readouterr().err == "numerical failure: %s\n" % message
+        assert not (tmp_path / "o").exists()
 
 
 def test_branches_flat_graph_zero_spread(tmp_path):
@@ -309,6 +324,9 @@ def test_run_summary_reports_multiplicity(tmp_path, capsys):
     assert _run_cli("run", "--preset", "paper-j2", "--T", "0.5", "--policy", "all",
                     "--out", str(out)) == 0
     assert "multiple solutions detected: no" in capsys.readouterr().out
+    assert _run_cli("run", "--potential", "j1", "--nx", "10", "--dt", "0.05", "--T", "0.5",
+                    "--max-branches", "2", "--policy", "all", "--out", str(out)) == 0
+    assert "branch tree truncated at max_branches=2\n" in capsys.readouterr().out
 
 
 def test_converge_writes_table(tmp_path):
@@ -463,6 +481,10 @@ def test_config_file_values_take_their_field_types(tmp_path):
     cfg = merge_config(build_parser().parse_args(["run", "--config", str(f)]))
     assert [(type(v), v) for v in (cfg.nx, cfg.dt, cfg.T, cfg.max_branches)] == [
         (int, 20), (float, 0.05), (float, 1.0), (int, 8)]
+    # comment lines, blank lines and trailing comments add nothing
+    f.write_text("# comment\npotential = j1\n\nnx = 20  # trailing comment\ndt = 0.05\n"
+                 "T = 1\nmax_branches = 8\n")
+    assert merge_config(build_parser().parse_args(["run", "--config", str(f)])) == cfg
 
 
 @pytest.mark.parametrize("text, message", [
@@ -474,10 +496,14 @@ def test_config_file_values_take_their_field_types(tmp_path):
     ("max-branches = 3", "unknown config key 'max-branches'"),
     ("preset = paper-j1", "unknown config key 'preset'"),
     ("nx", "malformed config line: 'nx'"),
+    # argparse checks only a flag's choices; a config file's value is checked against them
+    ("potential = j9", "potential must be one of j1, j2, custom, got 'j9'"),
+    ("policy = best", "policy must be one of all, min_boundary, max_boundary, first, got 'best'"),
 ])
 def test_config_file_error_messages(tmp_path, capsys, text, message):
     f = tmp_path / "cfg.txt"
-    f.write_text("potential = j2\n" + text + "\n")
+    # a case that sets the potential itself gets no j2 line, which would repeat the key
+    f.write_text(("" if text.startswith("potential") else "potential = j2\n") + text + "\n")
     assert _run_cli("run", "--config", str(f), "--out", str(tmp_path / "o")) == 1
     assert capsys.readouterr().err == "config error: %s\n" % message
 
@@ -526,11 +552,14 @@ def test_u0_expression(tmp_path):
     assert first[-1] == pytest.approx(2.0)  # sin(pi/2) = 1 at x = 1
     assert _run_cli("run", "--potential", "j2", "--u0", "expr:import os",
                     "--out", str(out)) == 1
+    # the datum is evaluated at the mesh nodes only: x = 0.5 is none of nx = 9's
+    assert _run_cli("run", "--potential", "j2", "--nx", "9", "--dt", "0.05", "--T", "0.2",
+                    "--u0", "expr:1/(x-0.5)", "--out", str(out)) == 0
 
 
 @pytest.mark.parametrize("u0", [
     "const:nan",  # non-finite constant
-    "expr:sqrt(x-0.5)",  # fine at x = 0.5, math domain error at the left nodes
+    "expr:sqrt(x-0.5)",  # math domain error at the left nodes
     "expr:().__class__.__name__.__len__()",  # attribute access outside the whitelist
     "expr:1e308*10*x",  # overflows to inf, a config error, not a non-finite state
 ])
@@ -799,6 +828,14 @@ def test_custom_potential_round_trip(tmp_path):
     assert code == 1  # discontinuous pieces rejected
 
 
+def test_custom_pieces_skip_an_empty_chunk():
+    # a trailing ';' leaves an empty chunk, which adds no piece
+    graphs = [merge_config(build_parser().parse_args(
+        ["run", "--potential", "custom", "--breakpoints", "0", pieces])).graph
+        for pieces in ("--pieces=-12:0:0;0:0:0", "--pieces=-12:0:0;0:0:0;")]
+    assert graphs[0].segments == graphs[1].segments
+
+
 @pytest.mark.parametrize("breakpoints, pieces", [
     ("", "0:inf:0"),
     ("", "nan:0:0"),
@@ -819,12 +856,17 @@ def test_custom_potential_rejects_non_finite(tmp_path, capsys, breakpoints, piec
     pytest.param("alpha = nan", "bad constants: alpha must be finite, got nan", id="alpha = nan"),
     pytest.param("beta = inf", "bad constants: beta must be finite, got inf", id="beta = inf"),
     pytest.param("d = 1", "bad constants: d and sigma must be given together", id="d = 1"),
+    pytest.param("alpha = 0", "bad constants: alpha must be positive", id="alpha = 0"),
+    pytest.param("beta = -1", "bad constants: beta must be nonnegative", id="beta = -1"),
+    pytest.param("c = 0", "bad constants: c must be positive", id="c = 0"),
+    pytest.param("d = -1; sigma = 1.5", "bad constants: d must be nonnegative", id="d = -1"),
 ])
 def test_check_rejects_bad_constants(tmp_path, capsys, line, err):
-    # the line replaces its key's valid value, so no key is repeated
+    # each ;-separated assignment replaces its key's valid value, so no key is repeated
     valid = {"alpha": "1.0", "c": "0.3", "beta": "0.0", "iota_norm": "1.0"}
-    key, _, value = line.split()
-    valid[key] = value
+    for assignment in line.split(";"):
+        key, _, value = assignment.split()
+        valid[key] = value
     constants = tmp_path / "c.txt"
     constants.write_text("".join("%s = %s\n" % kv for kv in valid.items()))
     assert _run_cli("check", "--constants", str(constants)) == 1
