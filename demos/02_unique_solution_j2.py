@@ -5,6 +5,8 @@ backward-Euler stepper tries every graph segment per step and still finds a
 single solution every time: the monotone jump cannot split the trajectory.
 """
 
+import numpy as np
+
 from hvisolve import (
     Mesh1D,
     RotheConfig,
@@ -19,7 +21,7 @@ def main():
     mesh = Mesh1D.uniform(100)
     config = RotheConfig.from_step(0.01, 1.0)
     graph = clarke_subdifferential(potential_j2())
-    tree = run(config, mesh, graph, lambda x: 2.0, branch_policy="all")
+    tree = run(config, mesh, graph, np.full(mesh.n, 2.0), branch_policy="all")
 
     counts = tree.branch_counts()
     print("steps: %d, solutions per step: min %d / max %d"

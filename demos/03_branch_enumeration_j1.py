@@ -16,7 +16,7 @@ def main():
     config = RotheConfig.from_step(0.01, 1.0, max_branches=64)
     graph = clarke_subdifferential(potential_j1())
 
-    tree = run(config, mesh, graph, lambda x: 2.0, branch_policy="all")
+    tree = run(config, mesh, graph, np.full(mesh.n, 2.0), branch_policy="all")
     counts = tree.branch_counts()
     first_split = next(k for k, c in enumerate(counts) if c > 1)
     print("full enumeration: max %d simultaneous branches, first split at t = %.2f"
@@ -27,8 +27,8 @@ def main():
     for k in range(first_split - 2, min(first_split + 10, len(counts))):
         print("  t = %4.2f  branches = %d" % (k * config.tau, counts[k]))
 
-    lo_tree = run(config, mesh, graph, lambda x: 2.0, branch_policy="min_boundary")
-    hi_tree = run(config, mesh, graph, lambda x: 2.0, branch_policy="max_boundary")
+    lo_tree = run(config, mesh, graph, np.full(mesh.n, 2.0), branch_policy="min_boundary")
+    hi_tree = run(config, mesh, graph, np.full(mesh.n, 2.0), branch_policy="max_boundary")
     lo = lo_tree.boundary_values()
     hi = hi_tree.boundary_values()
     spread = hi - lo

@@ -20,6 +20,7 @@ from hvisolve import (
     clarke_subdifferential,
     convergence_study,
     potential_j2,
+    project_initial,
     run,
     zero_flux_graph,
 )
@@ -32,7 +33,7 @@ def main():
 
     for name, graph in (("pure heat", zero_flux_graph()),
                         ("monotone boundary graph", clarke_subdifferential(potential_j2()))):
-        problem = StudyProblem(mesh=mesh, graph=graph, u0=lambda x: 2.0,
+        problem = StudyProblem(mesh=mesh, graph=graph, initial=np.full(mesh.n, 2.0),
                                policy="first", horizon=1.0)
         table = convergence_study(problem, taus, reference)
         print("%s, reference tau = %g:" % (name, reference))
@@ -44,7 +45,7 @@ def main():
     lam = math.pi / 2.0
     tau = 0.005
     config = RotheConfig.from_step(tau, 1.0)
-    tree = run(config, mesh, zero_flux_graph(), lambda x: math.sin(lam * x))
+    tree = run(config, mesh, zero_flux_graph(), project_initial(mesh, lambda x: math.sin(lam * x)))
     states = tree.chain_states()
     norms = MeshNorms(mesh)
     mode = np.sin(lam * mesh.nodes)
@@ -60,7 +61,7 @@ def main():
     print("stability quantities under step refinement (monotone boundary graph):")
     print("  tau        max_H      sum|du|_H^2  tau*sum|u|_V^2")
     for tau in (0.04, 0.02, 0.01, 0.005):
-        tree = run(RotheConfig.from_step(tau, 1.0), mesh, graph, lambda x: 2.0,
+        tree = run(RotheConfig.from_step(tau, 1.0), mesh, graph, np.full(mesh.n, 2.0),
                    branch_policy="min_boundary")
         states = np.array(tree.chain_states())
         print("  %-10g %-10.5f %-12.5f %-10.5f" % (

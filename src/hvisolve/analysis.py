@@ -261,18 +261,18 @@ def check_conditions(k: AbstractConstants) -> ConditionReport:
 
 @dataclass
 class StudyProblem:
-    """One fixed space discretization plus unforced data, solved over several steps."""
+    """One mesh, graph and nodal ``initial`` state, unforced, solved over several steps."""
 
     mesh: object
     graph: object
-    u0: object
+    initial: object
     policy: str = "first"
     horizon: float = 1.0
     max_branches: int = RotheConfig.max_branches
 
     def solve(self, tau):
         config = RotheConfig.from_step(tau, self.horizon, max_branches=self.max_branches)
-        return run(config, self.mesh, self.graph, self.u0, None, self.policy).require_solved()
+        return run(config, self.mesh, self.graph, self.initial, None, self.policy).require_solved()
 
 
 @dataclass

@@ -57,7 +57,7 @@ class ExperimentConfig:
     config key and, with - for _, the flag after --; the type casts a config
     value, and the metadata holds the flag's help and choices.  Construction
     checks every input but the time grid and keeps the parsed ``mesh``, ``graph``
-    and ``initial`` (the u0 callable) as plain attributes, not fields."""
+    and ``initial`` (u0 at the free mesh nodes) as plain attributes, not fields."""
 
     potential: str = field(default=None, metadata={"choices": ["j1", "j2", "custom"]})
     breakpoints: str = field(default="", metadata={
@@ -86,8 +86,7 @@ class ExperimentConfig:
                                   % (f.name, ", ".join(f.metadata["choices"]), value))
         self.mesh = _config_checked(Mesh1D.uniform, self.nx)
         self.graph = parse_potential(self)
-        self.initial = parse_u0(self.u0)
-        project_initial(self.mesh, self.initial)  # the datum must hold at every node
+        self.initial = project_initial(self.mesh, parse_u0(self.u0))
 
     def time_grid(self):
         """Steps of dt up to T, for the subcommands that step with dt."""
@@ -474,7 +473,7 @@ def cmd_converge(args):
     except ValueError as err:
         raise ConfigError("bad tau list: %s" % err) from err
     problem = StudyProblem(
-        mesh=cfg.mesh, graph=cfg.graph, u0=cfg.initial,
+        mesh=cfg.mesh, graph=cfg.graph, initial=cfg.initial,
         policy=cfg.policy if cfg.policy != "all" else "first",
         horizon=cfg.T, max_branches=cfg.max_branches,
     )

@@ -161,14 +161,16 @@ class SolutionTree:
     """Per-time-step record of all retained discrete solutions.
 
     ``levels[k]`` is the TreeLevel of the branches kept at step k; a child's
-    ``parent`` is a row of level k-1 and its ``segment`` indexes ``tags``,
-    the graph's segment tags.  The root level holds the initial state, with
-    parent and segment -1 and flux NaN.  Only row 0 of a level keeps its
-    state; ``level_states`` and ``path_states`` re-derive the others from
-    the root by stepping with ``forcing``, the ``f`` given to ``run``.
-    ``finite`` is False once ``run`` kept a non-finite state.  Records of
-    ``terminated`` and ``step_failures`` at level k hold a ``parent_row`` of
-    level k-1 too; only ``level_ids`` derives branch ids.
+    ``parent`` is a row of level k-1 and its ``segment`` indexes ``tags``, the
+    graph's segment tags.  The root level holds the initial state, with parent
+    and segment -1 and flux NaN.  Only row 0 of a level keeps its state;
+    ``level_states`` and ``path_states`` re-derive the others from the root by
+    stepping with ``forcing``, the ``f`` given to ``run``, calling it again
+    for each level they replay: it must give the same vector for the same t,
+    or they differ from the stepped states.  ``finite`` is False once ``run``
+    kept a non-finite state.  Records of ``terminated`` and ``step_failures``
+    at level k hold a ``parent_row`` of level k-1 too; only ``level_ids``
+    derives branch ids.
     """
 
     mesh: object
@@ -505,27 +507,30 @@ def _spread_by_boundary(states, kept, cap):
     return kept[np.sort(order[ranks])]
 
 
-def run(config, mesh, graph, u0, f=None, branch_policy="all"):
-    """Step the inclusion over the whole horizon, growing a SolutionTree.
+def run(config, mesh, graph, initial, f=None, branch_policy="all"):
+    """Grow a SolutionTree from ``initial``, the nodal state at x_1..x_n.
 
     Forcing is averaged over each step interval (a zero vector when f is
-    None).  Each level is stepped in one call, all of its branches at once.
-    Dead ends and step failures are recorded by parent row; if every branch
-    dies the tree stops early, at ``no_solution_level``.  The
-    children of a level are merged (corner solutions, states reached from
-    two parents) before the branch policy picks among them; a level beyond
+    None), and again for each level the tree's replay steps: f must give the
+    same vector for the same t.  Each level is stepped in one call, all of its
+    branches at once.  Dead ends and step failures are recorded by parent row;
+    if every branch dies the tree stops early, at ``no_solution_level``.  The
+    children of a level are merged (corner solutions, states reached from two
+    parents) before the branch policy picks among them; a level beyond
     ``config.max_branches`` is cut to evenly spaced boundary values.
     """
     if branch_policy not in BRANCH_POLICIES:
         raise ValueError("unknown branch policy %r" % (branch_policy,))
+    initial = np.array(initial, dtype=float)  # a copy: the tree never shares the caller's array
+    if initial.shape != (mesh.n,):
+        raise ValueError("initial must have shape (n,) = (%d,), got %r" % (mesh.n, initial.shape))
     tree = SolutionTree(mesh=mesh, config=config, tags=segment_tags(graph), forcing=f)
 
     def keep(level):
         tree.levels.append(TreeLevel.of(level))
         tree.finite = tree.finite and bool(np.isfinite(level.states).all())
 
-    level = StepLevel(project_initial(mesh, u0)[None, :], np.array([-1]), np.array([-1]),
-                      np.array([np.nan]))
+    level = StepLevel(initial[None, :], np.array([-1]), np.array([-1]), np.array([np.nan]))
     keep(level)
     for k in range(1, config.num_steps + 1):
         fails = []

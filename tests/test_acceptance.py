@@ -25,6 +25,7 @@ from hvisolve import (
     interpolant_norms,
     potential_j1,
     potential_j2,
+    project_initial,
     rothe_step_all,
     run,
     zero_flux_graph,
@@ -62,9 +63,6 @@ def preset_mesh():
 
 def preset_config(tau=0.01, horizon=1.0):
     return RotheConfig.from_step(tau, horizon, max_branches=64)
-
-
-U0_CONST2 = staticmethod(lambda x: 2.0)
 
 
 def test_criterion_01_galerkin_row_exactness():
@@ -137,7 +135,7 @@ def test_criterion_02_subdifferential_oracle():
 def test_criterion_03_uniqueness_for_j2():
     with criterion(3, "uniqueness for j2 preset", 10.0):
         graph = clarke_subdifferential(potential_j2())
-        tree = run(preset_config(), preset_mesh(), graph, lambda x: 2.0, branch_policy="all")
+        tree = run(preset_config(), preset_mesh(), graph, np.full(100, 2.0), branch_policy="all")
         assert tree.completed()
         assert tree.branch_counts() == [1] * 101
         check_tree(tree, graph)
@@ -147,13 +145,13 @@ def test_criterion_04_multiplicity_for_j1():
     with criterion(4, "multiplicity for j1 preset", 30.0):
         mesh = preset_mesh()
         graph = clarke_subdifferential(potential_j1())
-        tree = run(preset_config(), mesh, graph, lambda x: 2.0, branch_policy="all")
+        tree = run(preset_config(), mesh, graph, np.full(mesh.n, 2.0), branch_policy="all")
         assert tree.completed()
         assert max(tree.branch_counts()) >= 2
         check_tree(tree, graph)
-        lo = run(preset_config(), mesh, graph, lambda x: 2.0,
+        lo = run(preset_config(), mesh, graph, np.full(mesh.n, 2.0),
                  branch_policy="min_boundary").boundary_values()
-        hi = run(preset_config(), mesh, graph, lambda x: 2.0,
+        hi = run(preset_config(), mesh, graph, np.full(mesh.n, 2.0),
                  branch_policy="max_boundary").boundary_values()
         assert float(np.max(hi - lo)) > 1e-6
 
@@ -197,7 +195,7 @@ def test_criterion_06_interpolant_identity():
         ]
         for graph, policy in runs:
             cfg = preset_config()
-            tree = run(cfg, mesh, graph, lambda x: 2.0, branch_policy=policy)
+            tree = run(cfg, mesh, graph, np.full(mesh.n, 2.0), branch_policy=policy)
             assert tree.completed()
             check_tree(tree, graph)
             states = tree.chain_states()
@@ -213,7 +211,7 @@ def test_criterion_07_apriori_bounds():
         for pot in (potential_j1(), potential_j2()):
             graph = clarke_subdifferential(pot)
             runs = [
-                run(preset_config(tau), mesh, graph, lambda x: 2.0,
+                run(preset_config(tau), mesh, graph, np.full(mesh.n, 2.0),
                     branch_policy="min_boundary")
                 for tau in (0.04, 0.02, 0.01, 0.005)
             ]
@@ -228,7 +226,7 @@ def test_criterion_08_convergence_trend():
     with criterion(8, "convergence trend", 120.0):
         mesh = preset_mesh()
         for graph in (zero_flux_graph(), clarke_subdifferential(potential_j2())):
-            problem = StudyProblem(mesh=mesh, graph=graph, u0=lambda x: 2.0,
+            problem = StudyProblem(mesh=mesh, graph=graph, initial=np.full(mesh.n, 2.0),
                                    policy="first", horizon=1.0)
             table = convergence_study(problem, [0.04, 0.02, 0.01], 0.0025)
             errs = [r.err_CH for r in table.rows]
@@ -239,7 +237,8 @@ def test_criterion_08_convergence_trend():
         lam = math.pi / 2.0
         tau = 0.005
         cfg = RotheConfig.from_step(tau, 1.0)
-        tree = run(cfg, mesh, zero_flux_graph(), lambda x: math.sin(lam * x))
+        initial = project_initial(mesh, lambda x: math.sin(lam * x))
+        tree = run(cfg, mesh, zero_flux_graph(), initial)
         kit = MeshNorms(mesh)
         states = tree.chain_states()
         err = max(
@@ -269,7 +268,7 @@ def test_criterion_09_bv2_correctness():
         ]
         for graph, policy in runs:
             cfg = preset_config()
-            tree = run(cfg, mesh, graph, lambda x: 2.0, branch_policy=policy)
+            tree = run(cfg, mesh, graph, np.full(mesh.n, 2.0), branch_policy=policy)
             check_tree(tree, graph)
             report = interpolant_norms(mesh, tree.chain_states(), cfg.tau)
             envelope = cfg.horizon * report.l2Vstar_of_derivative**2

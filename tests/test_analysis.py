@@ -112,7 +112,7 @@ def test_interpolant_norms_match_dense_oracle():
 def test_bv2_of_paper_j2_path_matches_dense_oracle():
     mesh = Mesh1D.uniform(100)
     cfg = RotheConfig.from_step(0.01, 1.0)
-    tree = run(cfg, mesh, clarke_subdifferential(potential_j2()), lambda x: 2.0,
+    tree = run(cfg, mesh, clarke_subdifferential(potential_j2()), np.full(mesh.n, 2.0),
                branch_policy="first")
     states = tree.chain_states()
     assert len(states) == 101
@@ -124,7 +124,7 @@ def test_bv2_of_paper_j2_path_matches_dense_oracle():
 def test_gap_equals_scaled_derivative_norm_pure_heat():
     mesh = Mesh1D.uniform(25)
     cfg = RotheConfig.from_step(0.04, 0.6)
-    states = run(cfg, mesh, zero_flux_graph(), lambda x: 2.0).chain_states()
+    states = run(cfg, mesh, zero_flux_graph(), np.full(mesh.n, 2.0)).chain_states()
     report = interpolant_norms(mesh, states, cfg.tau)
     gap = interpolant_gap(mesh, states, cfg.tau)
     assert gap == pytest.approx(cfg.tau / math.sqrt(3.0) * report.l2Vstar_of_derivative, rel=1e-10)
@@ -134,7 +134,7 @@ def test_bv2_bounded_by_derivative_envelope():
     mesh = Mesh1D.uniform(25)
     cfg = RotheConfig.from_step(0.04, 0.6)
     for graph in (zero_flux_graph(), clarke_subdifferential(potential_j2())):
-        tree = run(cfg, mesh, graph, lambda x: 2.0, branch_policy="first")
+        tree = run(cfg, mesh, graph, np.full(mesh.n, 2.0), branch_policy="first")
         report = interpolant_norms(mesh, tree.chain_states(), cfg.tau)
         envelope = cfg.horizon * report.l2Vstar_of_derivative**2
         assert report.bv2_Vstar <= envelope * (1 + 1e-9)
@@ -209,7 +209,7 @@ def test_conditions_monotone_in_alpha_and_c():
 
 def _heat_tree(mesh, tau, horizon):
     cfg = RotheConfig.from_step(tau, horizon)
-    return run(cfg, mesh, zero_flux_graph(), lambda x: 2.0, branch_policy="first")
+    return run(cfg, mesh, zero_flux_graph(), np.full(mesh.n, 2.0), branch_policy="first")
 
 
 def test_apriori_suite_pure_heat_bounded():
@@ -241,7 +241,8 @@ def test_apriori_suite_rejects_bad_ordering():
 
 def test_convergence_requires_separated_reference():
     mesh = Mesh1D.uniform(10)
-    problem = StudyProblem(mesh=mesh, graph=zero_flux_graph(), u0=lambda x: 2.0, horizon=0.4)
+    problem = StudyProblem(mesh=mesh, graph=zero_flux_graph(), initial=np.full(mesh.n, 2.0),
+                           horizon=0.4)
     with pytest.raises(ValueError):
         convergence_study(problem, [0.04, 0.02], 0.01)
     with pytest.raises(ValueError):
@@ -251,7 +252,8 @@ def test_convergence_requires_separated_reference():
 
 def test_convergence_pure_heat_errors_shrink():
     mesh = Mesh1D.uniform(20)
-    problem = StudyProblem(mesh=mesh, graph=zero_flux_graph(), u0=lambda x: 2.0, horizon=0.4)
+    problem = StudyProblem(mesh=mesh, graph=zero_flux_graph(), initial=np.full(mesh.n, 2.0),
+                           horizon=0.4)
     table = convergence_study(problem, [0.04, 0.02, 0.01], 0.0025)
     errs = [r.err_CH for r in table.rows]
     assert errs[0] > errs[1] > errs[2] > 0
@@ -267,12 +269,11 @@ def test_rothe_is_first_order_in_time_against_the_semi_discrete_solution():
     # of the first steps falls only ~1.2x per halving
     mesh = Mesh1D.uniform(50)
     m = dense_mass_and_stiffness(mesh)[0]
-    for u0, worst_rate in ((lambda x: math.sin(math.pi * x / 2), (1.9, 2.1)),
-                           (lambda x: 2.0, (1.0, 1.5))):
-        a0 = project_initial(mesh, u0)
+    sine = project_initial(mesh, lambda x: math.sin(math.pi * x / 2))
+    for a0, worst_rate in ((sine, (1.9, 2.1)), (np.full(mesh.n, 2.0), (1.0, 1.5))):
         at_end, worst = [], []
         for tau in (0.04, 0.02, 0.01, 0.005):
-            tree = run(RotheConfig.from_step(tau, 1.0), mesh, zero_flux_graph(), u0,
+            tree = run(RotheConfig.from_step(tau, 1.0), mesh, zero_flux_graph(), a0,
                        branch_policy="first")
             states = np.array(tree.path_states(0))
             diff = states - semi_discrete_heat(mesh, a0, tau * np.arange(len(states)))
@@ -291,7 +292,7 @@ def test_bound_and_convergence_sums_match_dense_loops():
     graph = clarke_subdifferential(potential_j2())
     m = to_dense(assemble_mass(mesh)).astype(float)
     mk = m + to_dense(assemble_stiffness(mesh)).astype(float)
-    problem = StudyProblem(mesh=mesh, graph=graph, u0=lambda x: 2.0, horizon=0.4)
+    problem = StudyProblem(mesh=mesh, graph=graph, initial=np.full(mesh.n, 2.0), horizon=0.4)
     ref_tau = 0.005
     ref_tree = problem.solve(ref_tau)
     ref = ref_tree.chain_states()

@@ -141,6 +141,26 @@ def test_branches_parses_each_input_once(tmp_path, monkeypatch):
     assert sorted(calls) == ["parse_potential", "parse_u0"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--potential", "j1", "--dt", "0.05", "--T", "0.3"],
+    ["branches", "--potential", "j1", "--dt", "0.05", "--T", "0.3"],
+    ["converge", "--potential", "j2", "--T", "0.5", "--taus", "0.1", "--reference-tau", "0.025"],
+], ids=["run", "branches", "converge"])
+def test_each_command_evaluates_the_datum_once_per_node(tmp_path, monkeypatch, argv):
+    # every run of a command starts from the nodal state ExperimentConfig
+    # checked: `x` is one _eval_expr call per node, 10 nodes, whatever the
+    # number of runs (two extreme runs, a coarse and a reference run)
+    calls = []
+
+    def counted(node, x, _eval=cli._eval_expr):
+        calls.append(x)
+        return _eval(node, x)
+
+    monkeypatch.setattr(cli, "_eval_expr", counted)
+    assert _run_cli(*argv, "--u0", "expr:x", "--nx", "10", "--out", str(tmp_path / "o")) == 0
+    assert calls == Mesh1D.uniform(10).nodes.tolist()
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["run", "--potential", "custom", "--breakpoints=", "--pieces", "-1.9375:7.25:0",
       "--nx", "2"], 1, "argument --pieces: expected one argument"),
@@ -625,7 +645,7 @@ def test_write_csv_matches_csv_writer(tmp_path):
 def _selftest_tree():
     """The small branching j1 run of the benchmark self-test."""
     return run(RotheConfig.from_step(0.05, 0.3, max_branches=128), Mesh1D.uniform(10),
-               clarke_subdifferential(potential_j1()), lambda x: 1.5, branch_policy="all")
+               clarke_subdifferential(potential_j1()), np.full(10, 1.5), branch_policy="all")
 
 
 def _want_tables(tree):
@@ -712,7 +732,7 @@ def test_trajectory_and_surface_match_csv_writer(tmp_path):
 def test_trajectory_of_a_chain_splits_mid_path(tmp_path):
     # one branch per level: the child writes the last 5 of 11 levels, each a path row
     tree = run(RotheConfig.from_step(0.02, 0.2), Mesh1D.uniform(6),
-               clarke_subdifferential(potential_j2()), lambda x: 2.0)
+               clarke_subdifferential(potential_j2()), np.full(6, 2.0))
     assert tree.branch_counts() == [1] * 11
     assert list(trajectory_rows(tree, 6)) == list(trajectory_rows(tree))[6:]
     assert _forced_split(tree) == 6
@@ -759,7 +779,7 @@ def test_surface_follows_parent_links(tmp_path):
     # that takes row 0 of each level fails here.
     graph = clarke_subdifferential(PiecewiseQuadraticPotential(
         [0.0], [(-3.0, 0.0, 0.0), (0.0, 0.0, 0.0)]))
-    tree = run(RotheConfig.from_step(0.05, 0.3), Mesh1D.uniform(6), graph, lambda x: 1.5)
+    tree = run(RotheConfig.from_step(0.05, 0.3), Mesh1D.uniform(6), graph, np.full(6, 1.5))
     assert tree.branch_counts() == [1] + [2] * 6
     assert tree.terminated == [(k, 0) for k in range(2, 7)]
     assert tree.path_rows(0) == [0, 1, 1, 1, 1, 1, 0]

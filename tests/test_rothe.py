@@ -103,6 +103,29 @@ def test_project_initial():
     assert np.allclose(project_initial(mesh, lambda x: x), [0.25, 0.5, 0.75, 1.0])
 
 
+def test_run_takes_the_state_it_is_given(monkeypatch):
+    mesh, graph = Mesh1D.uniform(10), clarke_subdifferential(potential_j1())
+    cfg = RotheConfig.from_step(0.05, 0.3, max_branches=128)
+    initial = 1.5 + 0.1 * np.sin(3 * mesh.nodes)
+    initial.setflags(write=False)
+    before = initial.copy()
+    tree = run(cfg, mesh, graph, initial, branch_policy="all")
+    assert tree.completed()
+    assert not initial.flags.writeable and initial.tobytes() == before.tobytes()
+    root = next(tree.level_states())
+    assert root.shape == (1, mesh.n) and root[0].tobytes() == initial.tobytes()
+    assert not np.shares_memory(tree.levels[0].first, initial)
+
+    def refuse(*args, **kw):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(rothe, "rothe_step_all", refuse)
+    for bad in (np.full(11, 1.5), np.full((1, 10), 1.5), np.array(1.5)):
+        with pytest.raises(ValueError, match=r"\(n,\) = \(10,\), got %s$" % re.escape(
+                repr(bad.shape))):
+            run(cfg, mesh, graph, bad)
+
+
 def test_step_zero_graph_zero_data():
     mesh = Mesh1D.uniform(5)
     sols = rothe_step_all(mesh, zero_flux_graph(), np.zeros(5), tau=0.1, failures=[])
@@ -289,7 +312,7 @@ def test_run_records_dead_tree():
     pot = PiecewiseQuadraticPotential([], [(-1.9375, 0.0, 0.0)])
     graph = clarke_subdifferential(pot)
     cfg = RotheConfig(tau=1 / 12, num_steps=2)
-    tree = run(cfg, mesh, graph, lambda x: 2.0)
+    tree = run(cfg, mesh, graph, np.full(mesh.n, 2.0))
     assert not tree.completed()
     assert tree.no_solution_level == 1
     assert tree.terminated == [(1, 0)]
@@ -301,7 +324,7 @@ def _parallel_segment_run():
     g = rothe._schur_operator(mesh.n, float(mesh.dx), tau).g
     graph = clarke_subdifferential(PiecewiseQuadraticPotential(*schur_parallel_j1(g)))
     tree = run(RotheConfig.from_step(tau, 0.3, max_branches=128), mesh, graph,
-               lambda x: 1.5, branch_policy="all")
+               np.full(mesh.n, 1.5), branch_policy="all")
     parallel = [tree.tags[i] for i, seg in enumerate(graph.segments)
                 if getattr(seg, "slope", None) == -g]
     return tree, parallel
@@ -328,7 +351,7 @@ def test_run_derives_no_branch_ids(monkeypatch):
 
     monkeypatch.setattr(rothe.SolutionTree, "level_ids", refuse)
     tree = run(RotheConfig.from_step(0.05, 0.3, max_branches=128), Mesh1D.uniform(10),
-               clarke_subdifferential(potential_j1()), lambda x: 1.5, branch_policy="all")
+               clarke_subdifferential(potential_j1()), np.full(10, 1.5), branch_policy="all")
     assert tree.completed() and tree.max_branch_count > 1
     tree, _ = _parallel_segment_run()
     assert tree.completed() and len(tree.step_failures) > tree.num_levels
@@ -352,7 +375,7 @@ def test_corner_solution_reported_twice_and_merged_once():
         "max_boundary": [("0.3", "a3")],
     }
     for policy, level in want.items():
-        tree = run(cfg, mesh, graph, lambda x: c, branch_policy=policy)
+        tree = run(cfg, mesh, graph, np.full(mesh.n, c), branch_policy=policy)
         tags = [tree.tags[s] for s in tree.levels[1].segment]
         assert list(zip(tree_branch_ids(tree)[1], tags)) == level, policy
 
@@ -509,7 +532,8 @@ def test_step_enumeration_matches_scan_oracle():
 def test_run_j2_single_branch():
     mesh = Mesh1D.uniform(100)
     cfg = RotheConfig.from_step(0.01, 0.3, max_branches=64)
-    tree = run(cfg, mesh, clarke_subdifferential(potential_j2()), lambda x: 2.0, branch_policy="all")
+    tree = run(cfg, mesh, clarke_subdifferential(potential_j2()), np.full(mesh.n, 2.0),
+               branch_policy="all")
     assert tree.completed()
     assert tree.branch_counts() == [1] * (cfg.num_steps + 1)
 
@@ -518,7 +542,7 @@ def test_run_j1_branches_and_extreme_policies_differ():
     mesh = Mesh1D.uniform(100)
     cfg = RotheConfig.from_step(0.01, 0.5, max_branches=64)
     graph = clarke_subdifferential(potential_j1())
-    trees = {p: run(cfg, mesh, graph, lambda x: 2.0, branch_policy=p)
+    trees = {p: run(cfg, mesh, graph, np.full(mesh.n, 2.0), branch_policy=p)
              for p in ("all", "min_boundary", "max_boundary")}
     for tree in trees.values():
         assert tree.completed()
@@ -542,7 +566,7 @@ def test_truncation_keeps_the_envelope():
     # uncapped tree
     mesh, graph = Mesh1D.uniform(100), clarke_subdifferential(potential_j1())
     full, cut = [run(RotheConfig.from_step(0.0025, 0.5, max_branches=cap), mesh, graph,
-                     lambda x: 2.0, branch_policy="all") for cap in (128, 64)]
+                     np.full(mesh.n, 2.0), branch_policy="all") for cap in (128, 64)]
     assert not full.truncated and full.max_branch_count > 64
     assert cut.truncated and cut.max_branch_count == 64 and cut.completed()
     check_tree(cut, graph)
@@ -567,7 +591,8 @@ def test_extreme_branches_bracket_every_branch():
         c = float(rng.choice(pot.breakpoints)) + float(rng.uniform(-0.5, 0.5))
         amp = float(rng.uniform(-0.5, 0.5))
         cfg = RotheConfig(tau=tau, num_steps=4, max_branches=10**6)
-        trees = {p: run(cfg, mesh, graph, lambda x: c + amp * np.sin(3 * x), branch_policy=p)
+        datum = project_initial(mesh, lambda x: c + amp * np.sin(3 * x))
+        trees = {p: run(cfg, mesh, graph, datum, branch_policy=p)
                  for p in ("all", "min_boundary", "max_boundary")}
         for tree in trees.values():
             tree.require_solved()
@@ -585,7 +610,7 @@ def test_run_policies_identical_for_linear_graph():
     mesh = Mesh1D.uniform(10)
     cfg = RotheConfig.from_step(0.05, 0.5)
     trees = [
-        run(cfg, mesh, zero_flux_graph(), lambda x: 2.0, branch_policy=p)
+        run(cfg, mesh, zero_flux_graph(), np.full(mesh.n, 2.0), branch_policy=p)
         for p in ("all", "first")
     ]
     for a, b in zip(trees[0].level_states(), trees[1].level_states(), strict=True):
@@ -597,7 +622,7 @@ def test_tree_invariants_on_branching_run():
     mesh = Mesh1D.uniform(50)
     cfg = RotheConfig.from_step(0.02, 0.8, max_branches=64)
     graph = clarke_subdifferential(potential_j1())
-    tree = run(cfg, mesh, graph, lambda x: 2.0, branch_policy="all")
+    tree = run(cfg, mesh, graph, np.full(mesh.n, 2.0), branch_policy="all")
     assert tree.completed()
     assert len(tree.levels[0]) == 1
     assert check_tree(tree, graph) == sum(tree.branch_counts()[1:])
@@ -619,14 +644,14 @@ def test_tree_memory_is_its_level_arrays():
     # stored branch ids, strings that grow with the depth, 2.1 MB.
     mesh, graph = Mesh1D.uniform(100), clarke_subdifferential(potential_j1())
     cfg = RotheConfig.from_step(0.0025, 0.5, max_branches=128)
-    run(RotheConfig(tau=cfg.tau, num_steps=1), mesh, graph, lambda x: 2.0)  # warm the cache
+    run(RotheConfig(tau=cfg.tau, num_steps=1), mesh, graph, np.full(mesh.n, 2.0))  # warm the cache
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
-        tree = run(cfg, mesh, graph, lambda x: 2.0, branch_policy="all")
+        tree = run(cfg, mesh, graph, np.full(mesh.n, 2.0), branch_policy="all")
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -692,8 +717,8 @@ def test_norm_scratch_is_bounded_by_its_path():
 def _j1_enumerate_run():
     mesh, graph = Mesh1D.uniform(100), clarke_subdifferential(potential_j1())
     cfg = RotheConfig.from_step(0.0025, 0.5, max_branches=128)
-    run(RotheConfig(tau=cfg.tau, num_steps=1), mesh, graph, lambda x: 2.0)  # warm the cache
-    return functools.partial(run, cfg, mesh, graph, lambda x: 2.0, branch_policy="all")
+    run(RotheConfig(tau=cfg.tau, num_steps=1), mesh, graph, np.full(mesh.n, 2.0))  # warm the cache
+    return functools.partial(run, cfg, mesh, graph, np.full(mesh.n, 2.0), branch_policy="all")
 
 
 def test_run_keeps_the_step_block_of_a_whole_level():
@@ -725,7 +750,7 @@ def test_run_with_forcing_reaches_discrete_steady_state():
     g = np.full(mesh.n, mesh.dx)
     g[-1] = mesh.dx / 2
     cfg = RotheConfig.from_step(0.1, 3.0)
-    tree = run(cfg, mesh, zero_flux_graph(), lambda x: 0.0, f=lambda t: g,
+    tree = run(cfg, mesh, zero_flux_graph(), np.full(mesh.n, 0.0), f=lambda t: g,
                branch_policy="first")
     assert check_tree(tree, zero_flux_graph(), f=lambda t: g) == cfg.num_steps
     with pytest.raises(AssertionError):  # the certificate does read the forcing
@@ -741,7 +766,7 @@ def test_run_with_forcing_reaches_discrete_steady_state():
 def test_leaf_paths_share_the_root():
     mesh = Mesh1D.uniform(40)
     cfg = RotheConfig.from_step(0.02, 0.9, max_branches=16)
-    tree = run(cfg, mesh, clarke_subdifferential(potential_j1()), lambda x: 2.0,
+    tree = run(cfg, mesh, clarke_subdifferential(potential_j1()), np.full(mesh.n, 2.0),
                branch_policy="all")
     assert max(tree.branch_counts()) > 1
     for leaf in range(len(tree.levels[-1])):
@@ -757,7 +782,7 @@ def _row_zero_dies_tree(f=None):
     descends from row 1 on levels 1-5."""
     graph = clarke_subdifferential(PiecewiseQuadraticPotential(
         [0.0], [(-3.0, 0.0, 0.0), (0.0, 0.0, 0.0)]))
-    tree = run(RotheConfig.from_step(0.05, 0.3), Mesh1D.uniform(6), graph, lambda x: 1.5,
+    tree = run(RotheConfig.from_step(0.05, 0.3), Mesh1D.uniform(6), graph, np.full(6, 1.5),
                f=f, branch_policy="all")
     return tree, graph
 
@@ -768,7 +793,7 @@ def _row_zero_cut_tree():
     graph = clarke_subdifferential(PiecewiseQuadraticPotential(
         [0.0], [(-8.0, 0.0, 0.0), (0.0, 0.0, 0.0)]))
     tree = run(RotheConfig.from_step(0.02, 0.3, max_branches=128), Mesh1D.uniform(10), graph,
-               lambda x: 1.5, branch_policy="all")
+               np.full(10, 1.5), branch_policy="all")
     return tree, graph
 
 
@@ -818,7 +843,7 @@ def test_path_replays_only_where_it_leaves_row_zero(monkeypatch):
     assert calls == [1] * sum(1 for row in tree.path_rows(0) if row)  # one column per level
     calls.clear()
     j1 = run(RotheConfig.from_step(0.05, 0.3, max_branches=128), Mesh1D.uniform(10),
-             clarke_subdifferential(potential_j1()), lambda x: 1.5, branch_policy="all")
+             clarke_subdifferential(potential_j1()), np.full(10, 1.5), branch_policy="all")
     calls.clear()
     assert j1.max_branch_count > 1 and not any(j1.path_rows(0))
     j1.path_states(0)
@@ -840,7 +865,7 @@ def test_require_solved_sees_a_non_finite_row_past_row_zero(monkeypatch):
 
     monkeypatch.setattr(rothe, "rothe_step_all", poisoned)
     tree = run(RotheConfig.from_step(0.05, 0.3, max_branches=128), Mesh1D.uniform(10),
-               clarke_subdifferential(potential_j1()), lambda x: 1.5, branch_policy="all")
+               clarke_subdifferential(potential_j1()), np.full(10, 1.5), branch_policy="all")
     assert calls[3] >= 2 and len(tree.levels[4]) >= 2
     assert tree.completed() and not tree.finite
     assert all(np.isfinite(level.first).all() and np.isfinite(level.r).all()
@@ -852,7 +877,7 @@ def test_require_solved_sees_a_non_finite_row_past_row_zero(monkeypatch):
 def test_backward_euler_dissipativity_pure_heat():
     mesh = Mesh1D.uniform(30)
     cfg = RotheConfig.from_step(0.02, 0.6)
-    tree = run(cfg, mesh, zero_flux_graph(), lambda x: 2.0)
+    tree = run(cfg, mesh, zero_flux_graph(), np.full(mesh.n, 2.0))
     kit = MeshNorms(mesh)
     h = [kit.h(s) for s in tree.chain_states()]
     assert all(b <= a + 1e-12 for a, b in zip(h, h[1:]))
@@ -862,7 +887,7 @@ def test_interpolant_gap_identity():
     # |pc - pl|_{L2(V*)}^2 == tau^2/3 * |pl'|_{L2(V*)}^2 on any branch path
     mesh = Mesh1D.uniform(40)
     cfg = RotheConfig.from_step(0.02, 0.4)
-    tree = run(cfg, mesh, clarke_subdifferential(potential_j2()), lambda x: 2.0,
+    tree = run(cfg, mesh, clarke_subdifferential(potential_j2()), np.full(mesh.n, 2.0),
                branch_policy="first")
     states = tree.chain_states()
     kit = MeshNorms(mesh)
@@ -890,7 +915,7 @@ def test_step_membership_matches_exact_rational_step():
         c0 = float(rng.choice(pot.breakpoints) + rng.uniform(-0.3, 0.3))
         c1 = float(rng.uniform(-0.5, 0.5))
         tree = run(RotheConfig(tau=tau, num_steps=3, max_branches=8), mesh, graph,
-                   lambda x: c0 + c1 * x)
+                   project_initial(mesh, lambda x: c0 + c1 * x))
         steps.extend((mesh, graph, states, tau) for states in tree.level_states())
     accepted, tolerated, rows = {}, 0, 0
     for mesh, graph, parents, tau in steps:
@@ -929,7 +954,7 @@ def test_no_forcing_adds_a_zero_vector_to_signed_zeros():
         zero = rothe_step_all(mesh, graph, rows, 0.1, np.zeros(mesh.n), failures=[])
         assert _same_bits(none, zero)
         assert not np.signbit(none.states).any()
-    tree = run(RotheConfig.from_step(0.1, 0.3), mesh, graph, lambda x: -0.0 * x)
+    tree = run(RotheConfig.from_step(0.1, 0.3), mesh, graph, -0.0 * mesh.nodes)
     assert tree.step_forcing(1) is None
     stacks = list(tree.level_states())
     assert np.signbit(stacks[0]).all() and not np.signbit(np.concatenate(stacks[1:])).any()
@@ -973,7 +998,7 @@ def test_extreme_branch_spread_falls_as_tau_halves():
     graph = clarke_subdifferential(potential_j1())
     spreads = []
     for tau in (0.04, 0.02, 0.01, 0.005, 0.0025):
-        lo, hi = (run(RotheConfig.from_step(tau, 1.0), mesh, graph, lambda x: 2.0,
+        lo, hi = (run(RotheConfig.from_step(tau, 1.0), mesh, graph, np.full(mesh.n, 2.0),
                       branch_policy=policy).require_solved().boundary_values()
                   for policy in ("min_boundary", "max_boundary"))
         spread = hi - lo
