@@ -34,7 +34,7 @@ def main():
     for name, graph in (("pure heat", zero_flux_graph()),
                         ("monotone boundary graph", clarke_subdifferential(potential_j2()))):
         problem = StudyProblem(mesh=mesh, graph=graph, initial=np.full(mesh.n, 2.0),
-                               policy="first", horizon=1.0)
+                               policy="min_boundary", horizon=1.0)
         table = convergence_study(problem, taus, reference)
         print("%s, reference tau = %g:" % (name, reference))
         print("  tau      err_CH        err_L2V       branches")

@@ -29,7 +29,6 @@ from .nonsmooth import (
     PiecewiseQuadraticPotential,
     PotentialError,
     SubdifferentialGraph,
-    UnboundedGrowthError,
     VerticalSegment,
     clarke_subdifferential,
     growth_constant,

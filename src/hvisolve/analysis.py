@@ -266,7 +266,7 @@ class StudyProblem:
     mesh: object
     graph: object
     initial: object
-    policy: str = "first"
+    policy: str = "min_boundary"
     horizon: float = 1.0
     max_branches: int = RotheConfig.max_branches
 
@@ -328,8 +328,8 @@ def convergence_study(problem, tau_list, reference_tau):
         # coarse interval k = ceil(m/ratio) holds reference interval m
         diff = np.repeat(states[1:], ratio, axis=0) - ref_states[1:]
         err_l2v = math.sqrt(reference_tau * kit.v_sq(diff).sum())
-        rows.append(ConvergenceRow(tau, float(err_ch), err_l2v, tree.max_branch_count))
+        rows.append(ConvergenceRow(tau, float(err_ch), err_l2v, max(tree.branch_counts())))
     failures.append((reference_tau, *ref_tree.failure_summary()))
-    mismatch = len({r.branch_count for r in rows} | {ref_tree.max_branch_count}) > 1
+    mismatch = len({r.branch_count for r in rows} | {max(ref_tree.branch_counts())}) > 1
     return ConvergenceTable(rows, branch_mismatch=mismatch, failures=failures)
 

@@ -55,7 +55,8 @@ PRESETS = {
 class ExperimentConfig:
     """Settings of run, branches and converge, one field each: the name is the
     config key and, with - for _, the flag after --; the type casts a config
-    value, and the metadata holds the flag's help and choices.  Construction
+    value, and the metadata holds the flag's help and choices and the
+    ``commands`` that read it, all three if it names none.  Construction
     checks every input but the time grid and keeps the parsed ``mesh``, ``graph``
     and ``initial`` (u0 at the free mesh nodes) as plain attributes, not fields."""
 
@@ -67,12 +68,14 @@ class ExperimentConfig:
         "help": "custom potential pieces c2:c1:c0;...; a value starting with - needs "
                 "the = form, --pieces=-1.9375:7.25:0"})
     nx: int = field(default=100, metadata={"help": "number of free mesh nodes (dx = 1/nx)"})
-    dt: float = field(default=0.01, metadata={"help": "time step; must divide T"})
+    dt: float = field(default=0.01, metadata={"help": "time step; must divide T",
+                                              "commands": ("run", "branches")})
     T: float = field(default=1.0, metadata={"help": "time horizon"})
     u0: str = field(default="const:2",
                     metadata={"help": "initial datum: const:VALUE or expr:EXPRESSION in x"})
-    policy: str = field(default="all", metadata={"choices": BRANCH_POLICIES})
-    max_branches: int = RotheConfig.max_branches
+    policy: str = field(default="all", metadata={"choices": BRANCH_POLICIES,
+                                                 "commands": ("run", "converge")})
+    max_branches: int = field(default=RotheConfig.max_branches, metadata={"commands": ("run",)})
     out: str = field(default="hvi_out",
                      metadata={"help": "output directory (HVI_OUT env var overrides)"})
 
@@ -137,14 +140,14 @@ def read_kv_file(path, casts, what):
 
 
 def merge_config(args):
-    """defaults < config file < preset < explicit flags."""
-    settings = {f.name: f.type for f in fields(ExperimentConfig)}
+    """defaults < config file < preset < explicit flags; config keys are the command's flags."""
+    settings = {f.name: f.type for f in fields(ExperimentConfig) if f.name in vars(args)}
     config = getattr(args, "config", None)
     merged = read_kv_file(config, settings, "config key") if config else {}
     if getattr(args, "preset", None):
         merged.update(PRESETS[args.preset])
     for key in settings:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
     return ExperimentConfig(**merged)
@@ -153,22 +156,20 @@ def merge_config(args):
 def parse_potential(cfg):
     """The subdifferential graph of the configured potential (j1, j2 or custom)."""
     if cfg.potential == "j1":
-        pot = potential_j1()
-    elif cfg.potential == "j2":
-        pot = potential_j2()
-    else:
-        try:
-            breakpoints = [float(v) for v in cfg.breakpoints.split(",") if v.strip()]
-            pieces = []
-            for chunk in cfg.pieces.split(";"):
-                if not chunk.strip():
-                    continue
-                c2, c1, c0 = (float(v) for v in chunk.split(":"))
-                pieces.append((c2, c1, c0))
-            pot = PiecewiseQuadraticPotential(breakpoints, pieces)
-        except (ValueError, PotentialError) as err:
-            raise ConfigError("bad custom potential: %s" % err) from err
-    return clarke_subdifferential(pot)
+        return clarke_subdifferential(potential_j1())
+    if cfg.potential == "j2":
+        return clarke_subdifferential(potential_j2())
+    try:
+        breakpoints = [float(v) for v in cfg.breakpoints.split(",") if v.strip()]
+        pieces = []
+        for chunk in cfg.pieces.split(";"):
+            if not chunk.strip():
+                continue
+            c2, c1, c0 = (float(v) for v in chunk.split(":"))
+            pieces.append((c2, c1, c0))
+        return clarke_subdifferential(PiecewiseQuadraticPotential(breakpoints, pieces))
+    except (ValueError, PotentialError) as err:
+        raise ConfigError("bad custom potential: %s" % err) from err
 
 
 _EXPR_FUNCTIONS = {
@@ -338,7 +339,7 @@ def write_trajectory(path, tree, surface=None):
     n = tree.mesh.n
     xs = ["0.0", *map(str, tree.mesh.nodes.tolist())]
     header = TRAJECTORY_HEADER + ["alpha_%d" % i for i in range(1, n + 1)] + ["xi"]
-    on_path = tree.path_rows(0) if surface is not None else [-1] * tree.num_levels
+    on_path = tree.path_rows(0) if surface is not None else [-1] * len(tree.levels)
     split = _fork_level(tree.branch_counts(), n)
     try:
         # Without a surface its header goes to the null device, and no row is on the path.
@@ -346,7 +347,7 @@ def write_trajectory(path, tree, surface=None):
             fh.write(",".join(header) + "\n")
             sf.write("x,t,u\n")
             if split is None:
-                return _write_levels(fh, sf, tree, range(tree.num_levels), on_path, xs)
+                return _write_levels(fh, sf, tree, range(len(tree.levels)), on_path, xs)
             with tempfile.TemporaryFile("w+", newline="", dir=Path(path).parent) as tf, \
                     tempfile.TemporaryFile("w+", newline="", dir=Path(path).parent) as tsf:
                 with warnings.catch_warnings():
@@ -357,7 +358,7 @@ def write_trajectory(path, tree, surface=None):
                 if pid == 0:  # leaves by os._exit, never flushing or closing fh and sf
                     code = 1
                     try:
-                        _write_levels(tf, tsf, tree, range(split, tree.num_levels), on_path, xs)
+                        _write_levels(tf, tsf, tree, range(split, len(tree.levels)), on_path, xs)
                         tf.flush()
                         tsf.flush()
                         code = 0
@@ -474,8 +475,7 @@ def cmd_converge(args):
         raise ConfigError("bad tau list: %s" % err) from err
     problem = StudyProblem(
         mesh=cfg.mesh, graph=cfg.graph, initial=cfg.initial,
-        policy=cfg.policy if cfg.policy != "all" else "first",
-        horizon=cfg.T, max_branches=cfg.max_branches,
+        policy=cfg.policy if cfg.policy != "all" else "min_boundary", horizon=cfg.T,
     )
     table = _config_checked(convergence_study, problem, taus, reference)
     rows = [astuple(row) for row in table.rows]
@@ -506,13 +506,14 @@ def cmd_check(args):
 
 # ---------------------------------------------------------------------------
 
-def _experiment_flags():
-    p = argparse.ArgumentParser(add_help=False)  # the parent of run, branches and converge
+def _experiment_flags(p, command):
+    """Add to the parser ``p`` the experiment flags that ``command`` reads."""
     p.add_argument("--preset", choices=sorted(PRESETS), help="pin the bundled reference settings")
     p.add_argument("--config", help="key=value config file (flags win)")
     for f in fields(ExperimentConfig):
-        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=f.type, **f.metadata)
-    return p
+        if command in f.metadata.get("commands", (command,)):
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=f.type,
+                           help=f.metadata.get("help"), choices=f.metadata.get("choices"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -531,19 +532,18 @@ def build_parser():
                     "multivalued boundary condition, with per-step solution enumeration.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    experiment = [_experiment_flags()]
 
-    p_run = sub.add_parser("run", parents=experiment,
-                           help="single experiment; trajectory, norms, surface data")
+    p_run = sub.add_parser("run", help="single experiment; trajectory, norms, surface data")
+    _experiment_flags(p_run, "run")
     p_run.add_argument("--dump-matrices", action="store_true")
     p_run.set_defaults(func=cmd_run)
 
-    p_br = sub.add_parser("branches", parents=experiment,
-                          help="extreme-branch runs and their boundary spread")
+    p_br = sub.add_parser("branches", help="extreme-branch runs and their boundary spread")
+    _experiment_flags(p_br, "branches")
     p_br.set_defaults(func=cmd_branches)
 
-    p_cv = sub.add_parser("converge", parents=experiment,
-                          help="error table against a fine-step reference")
+    p_cv = sub.add_parser("converge", help="error table against a fine-step reference")
+    _experiment_flags(p_cv, "converge")
     p_cv.add_argument("--taus", required=True, help="comma-separated step sizes")
     p_cv.add_argument("--reference-tau", required=True, dest="reference_tau")
     p_cv.set_defaults(func=cmd_converge)

@@ -53,6 +53,8 @@ class PiecewiseQuadraticPotential:
         for i, r in enumerate(self.breakpoints):
             left = self._piece_value(i, r)
             right = self._piece_value(i + 1, r)
+            if not (math.isfinite(left) and math.isfinite(right)):
+                raise PotentialError("not finite at breakpoint r=%g: %r vs %r" % (r, left, right))
             scale = max(1.0, abs(left), abs(right))
             if abs(left - right) > CONTINUITY_RTOL * scale:
                 raise PotentialError(
@@ -107,11 +109,18 @@ class SubdifferentialGraph:
 
     ``segments`` interleaves AffineSegment (whose r-intervals tile R with no
     gaps) and VerticalSegment entries placed where the one-sided derivative
-    limits differ.
+    limits differ.  Every number of a segment but an affine segment's infinite
+    end is finite, and so is an affine segment's value at each finite end.
     """
 
     def __init__(self, segments):
         self.segments = tuple(segments)
+        for seg in self.segments:
+            numbers = ((seg.r, seg.xi_lo, seg.xi_hi) if isinstance(seg, VerticalSegment) else
+                       (seg.slope, seg.intercept,
+                        *map(seg.value, filter(math.isfinite, (seg.r_lo, seg.r_hi)))))
+            if not all(map(math.isfinite, numbers)):
+                raise PotentialError("segment %r is not finite" % (seg,))
         self.affine = tuple(s for s in self.segments if isinstance(s, AffineSegment))
         self.vertical = tuple(s for s in self.segments if isinstance(s, VerticalSegment))
         if not self.affine:
@@ -161,10 +170,6 @@ def clarke_subdifferential(j):
     return SubdifferentialGraph(segments)
 
 
-class UnboundedGrowthError(ValueError):
-    """Raised when no finite linear growth constant exists for a graph."""
-
-
 def growth_constant(g):
     """Smallest c >= 0 with |xi| <= c*(1+|r|) for every (r, xi) on the graph.
 
@@ -185,8 +190,6 @@ def growth_constant(g):
                 best = max(best, abs(seg.slope))
         if seg.r_lo < 0.0 < seg.r_hi:  # at an end r = 0, value(0) == intercept is counted above
             best = max(best, abs(seg.intercept))
-    if not math.isfinite(best):
-        raise UnboundedGrowthError("graph grows faster than linearly")
     return best
 
 

@@ -64,7 +64,7 @@ PARALLEL_RTOL = 1e-12  # |g + slope| <= PARALLEL_RTOL*g: segment parallel to the
 DEDUPE_TOL = 1e-10  # max-norm distance below which two states of a level are merged
 QUOTED_FAILURES = 3  # step failures of the dying level quoted by SolutionTree.require_solved
 
-BRANCH_POLICIES = ("all", "min_boundary", "max_boundary", "first")
+BRANCH_POLICIES = ("all", "min_boundary", "max_boundary")
 
 
 class NoSolutionError(RuntimeError):
@@ -235,24 +235,16 @@ class SolutionTree:
         k = self.step_failures[0][0]
         return len(self.step_failures), "step %d, %s" % (k, self.quote_failures(k)[0])
 
-    @property
-    def num_levels(self):
-        return len(self.levels)
-
     def branch_counts(self):
         return [len(level) for level in self.levels]
 
     @property
-    def max_branch_count(self):
-        return max(self.branch_counts())
-
-    @property
     def no_solution_level(self):
         """The step at which every branch died, the level count; None once completed."""
-        return None if self.completed() else self.num_levels
+        return None if self.completed() else len(self.levels)
 
     def completed(self):
-        return self.num_levels == self.config.num_steps + 1
+        return len(self.levels) == self.config.num_steps + 1
 
     def path_rows(self, leaf_index=0):
         """Row of each level on the root-to-leaf path, following parent links
@@ -492,8 +484,6 @@ def _select(states, kept, policy):
     """The entries of ``kept``, row indices into ``states``, that the branch policy picks."""
     if policy == "all":
         return kept
-    if policy == "first":
-        return kept[:1]
     bounds = states[kept, -1]
     return kept[[bounds.argmin() if policy == "min_boundary" else bounds.argmax()]]
 

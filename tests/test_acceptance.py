@@ -189,9 +189,9 @@ def test_criterion_06_interpolant_identity():
     with criterion(6, "interpolant gap identity", 5.0):
         mesh = preset_mesh()
         runs = [
-            (clarke_subdifferential(potential_j2()), "first"),
+            (clarke_subdifferential(potential_j2()), "min_boundary"),
             (clarke_subdifferential(potential_j1()), "min_boundary"),
-            (zero_flux_graph(), "first"),
+            (zero_flux_graph(), "min_boundary"),
         ]
         for graph, policy in runs:
             cfg = preset_config()
@@ -227,7 +227,7 @@ def test_criterion_08_convergence_trend():
         mesh = preset_mesh()
         for graph in (zero_flux_graph(), clarke_subdifferential(potential_j2())):
             problem = StudyProblem(mesh=mesh, graph=graph, initial=np.full(mesh.n, 2.0),
-                                   policy="first", horizon=1.0)
+                                   policy="min_boundary", horizon=1.0)
             table = convergence_study(problem, [0.04, 0.02, 0.01], 0.0025)
             errs = [r.err_CH for r in table.rows]
             assert errs[0] > errs[1] > errs[2] > 0
@@ -263,8 +263,8 @@ def test_criterion_09_bv2_correctness():
         mesh = preset_mesh()
         runs = [
             (clarke_subdifferential(potential_j1()), "min_boundary"),
-            (clarke_subdifferential(potential_j2()), "first"),
-            (zero_flux_graph(), "first"),
+            (clarke_subdifferential(potential_j2()), "min_boundary"),
+            (zero_flux_graph(), "min_boundary"),
         ]
         for graph, policy in runs:
             cfg = preset_config()

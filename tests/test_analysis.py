@@ -44,6 +44,7 @@ def test_bv2_scalar_examples():
     assert bv2_seminorm([0.0, 1.0, 0.0], np.abs) == 2.0
     assert bv2_seminorm([0.0, 1.0, 2.0], np.abs) == 4.0  # skipping the middle wins
     assert bv2_seminorm([3.0] * 6, np.abs) == 0.0
+    assert bv2_seminorm([[1.0, -2.0]], _row_norm) == 0.0  # a single row has no increment
 
 
 def test_bv2_matches_brute_force():
@@ -113,7 +114,7 @@ def test_bv2_of_paper_j2_path_matches_dense_oracle():
     mesh = Mesh1D.uniform(100)
     cfg = RotheConfig.from_step(0.01, 1.0)
     tree = run(cfg, mesh, clarke_subdifferential(potential_j2()), np.full(mesh.n, 2.0),
-               branch_policy="first")
+               branch_policy="min_boundary")
     states = tree.chain_states()
     assert len(states) == 101
     m = to_dense(assemble_mass(mesh)).astype(float)
@@ -134,7 +135,7 @@ def test_bv2_bounded_by_derivative_envelope():
     mesh = Mesh1D.uniform(25)
     cfg = RotheConfig.from_step(0.04, 0.6)
     for graph in (zero_flux_graph(), clarke_subdifferential(potential_j2())):
-        tree = run(cfg, mesh, graph, np.full(mesh.n, 2.0), branch_policy="first")
+        tree = run(cfg, mesh, graph, np.full(mesh.n, 2.0), branch_policy="min_boundary")
         report = interpolant_norms(mesh, tree.chain_states(), cfg.tau)
         envelope = cfg.horizon * report.l2Vstar_of_derivative**2
         assert report.bv2_Vstar <= envelope * (1 + 1e-9)
@@ -209,7 +210,7 @@ def test_conditions_monotone_in_alpha_and_c():
 
 def _heat_tree(mesh, tau, horizon):
     cfg = RotheConfig.from_step(tau, horizon)
-    return run(cfg, mesh, zero_flux_graph(), np.full(mesh.n, 2.0), branch_policy="first")
+    return run(cfg, mesh, zero_flux_graph(), np.full(mesh.n, 2.0), branch_policy="min_boundary")
 
 
 def test_apriori_suite_pure_heat_bounded():
@@ -274,7 +275,7 @@ def test_rothe_is_first_order_in_time_against_the_semi_discrete_solution():
         at_end, worst = [], []
         for tau in (0.04, 0.02, 0.01, 0.005):
             tree = run(RotheConfig.from_step(tau, 1.0), mesh, zero_flux_graph(), a0,
-                       branch_policy="first")
+                       branch_policy="min_boundary")
             states = np.array(tree.path_states(0))
             diff = states - semi_discrete_heat(mesh, a0, tau * np.arange(len(states)))
             h = np.sqrt(np.einsum("ki,ij,kj->k", diff, m, diff))

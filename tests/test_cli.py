@@ -111,8 +111,17 @@ def test_run_requires_potential(tmp_path):
      "u0 must look like const:VALUE or expr:EXPRESSION, got 'foo'"),
     (["converge", "--potential", "j2", "--taus", "0.1,x", "--reference-tau", "0.025"],
      "bad tau list: could not convert string to float: 'x'"),
+    # a custom potential whose slope or value overflows has no finite graph
+    (["run", "--potential", "custom", "--breakpoints", "1", "--pieces=1e308:0:0;0:0:1e308",
+      "--nx", "10", "--dt", "0.1", "--T", "0.3"],
+     "bad custom potential: segment AffineSegment(r_lo=-inf, r_hi=1.0, slope=inf, "
+     "intercept=0.0) is not finite"),
+    (["run", "--potential", "custom", "--breakpoints", "1e200", "--pieces", "1:0:0;0:0:5",
+      "--nx", "10", "--dt", "0.1", "--T", "0.3"],
+     "bad custom potential: not finite at breakpoint r=1e+200: inf vs 5.0"),
 ], ids=["converge-repeated-tau", "run-bad-u0", "branches-bad-potential", "run-u0-before-dt",
-        "run-bad-u0-constant", "run-u0-without-prefix", "converge-bad-tau-list"])
+        "run-bad-u0-constant", "run-u0-without-prefix", "converge-bad-tau-list",
+        "run-slope-overflows", "run-value-overflows"])
 def test_rejected_command_leaves_no_output_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
     assert _run_cli(*argv, "--out", str(out)) == 1
@@ -168,6 +177,17 @@ def test_each_command_evaluates_the_datum_once_per_node(tmp_path, monkeypatch, a
     (["run", "--policy", "some"], 1, "argument --policy: invalid choice: 'some'"),
     (["run", "--nx", "ten"], 1, "argument --nx: invalid int value: 'ten'"),
     (["--help"], 0, ""),
+    # a removed policy, and flags a command does not read
+    (["run", "--potential", "j2", "--policy", "first"], 1,
+     "argument --policy: invalid choice: 'first'"),
+    (["branches", "--preset", "paper-j1", "--policy", "all"], 1,
+     "unrecognized arguments: --policy all"),
+    (["branches", "--preset", "paper-j1", "--max-branches", "1"], 1,
+     "unrecognized arguments: --max-branches 1"),
+    (["converge", "--potential", "j2", "--dt", "0.1", "--taus", "0.1", "--reference-tau", "0.025"],
+     1, "unrecognized arguments: --dt 0.1"),
+    (["converge", "--potential", "j2", "--max-branches", "8", "--taus", "0.1",
+      "--reference-tau", "0.025"], 1, "unrecognized arguments: --max-branches 8"),
 ])
 def test_usage_errors_are_config_errors(capsys, argv, code, message):
     with pytest.raises(SystemExit) as exc:
@@ -208,13 +228,16 @@ def test_run_failure_quotes_the_dying_step(tmp_path, capsys, pieces, failure):
         "(1 step failure at that step): branch 0, a0: %s\n" % failure)
 
 
-def _parallel_piece_flags():
-    """j1 plus a piece parallel to the Schur line: every parent of every level
-    of a run records one step failure (see oracles.schur_parallel_j1)."""
+def _parallel_piece_flags(command):
+    """The flags ``command`` reads for j1 plus a piece parallel to the Schur
+    line at tau=0.05: every parent of every level of a run records one step
+    failure (see oracles.schur_parallel_j1)."""
     breakpoints, pieces = schur_parallel_j1(rothe._schur_operator(10, 0.1, 0.05).g)
-    return ["--potential", "custom", "--breakpoints=" + ",".join(map(repr, breakpoints)),
+    dt = [] if command == "converge" else ["--dt", "0.05"]
+    return [command, "--potential", "custom",
+            "--breakpoints=" + ",".join(map(repr, breakpoints)),
             "--pieces=" + ";".join(":".join(map(repr, p)) for p in pieces),
-            "--nx", "10", "--dt", "0.05", "--T", "0.3", "--u0", "const:1.5"]
+            "--nx", "10", *dt, "--T", "0.3", "--u0", "const:1.5"]
 
 
 PARALLEL_FAILURE = ("step 1, branch 0, a4: no solution: segment parallel to the Schur line, "
@@ -224,7 +247,7 @@ PARALLEL_FAILURE = ("step 1, branch 0, a4: no solution: segment parallel to the 
 def test_run_reports_surviving_step_failures(tmp_path, capsys):
     # the run names how many step failures it survived and quotes the first
     # as require_solved quotes those of a dying level
-    code = _run_cli("run", *_parallel_piece_flags(), "--policy", "all",
+    code = _run_cli(*_parallel_piece_flags("run"), "--policy", "all",
                     "--max-branches", "128", "--out", str(tmp_path / "o"))
     assert code == 0
     assert capsys.readouterr().out.splitlines()[2] == (
@@ -235,7 +258,7 @@ def test_run_reports_surviving_step_failures(tmp_path, capsys):
 
 def test_branches_reports_step_failures_of_each_extreme_run(tmp_path, capsys):
     # each extreme chain survives one failure per level, quoted as run quotes them
-    assert _run_cli("branches", *_parallel_piece_flags(), "--out", str(tmp_path / "o")) == 0
+    assert _run_cli(*_parallel_piece_flags("branches"), "--out", str(tmp_path / "o")) == 0
     assert capsys.readouterr().out.splitlines()[1:3] == [
         "step failures (min_boundary): 6, first: " + PARALLEL_FAILURE,
         "step failures (max_boundary): 6, first: " + PARALLEL_FAILURE]
@@ -246,7 +269,7 @@ def test_branches_reports_step_failures_of_each_extreme_run(tmp_path, capsys):
 def test_converge_reports_step_failures_of_each_run(tmp_path, capsys):
     # the piece is parallel at tau=0.05 only: the coarse run survives one
     # failure per level, the reference run at tau=0.0125 none
-    code = _run_cli("converge", *_parallel_piece_flags(), "--taus", "0.05",
+    code = _run_cli(*_parallel_piece_flags("converge"), "--taus", "0.05",
                     "--reference-tau", "0.0125", "--out", str(tmp_path / "o"))
     assert code == 0
     assert capsys.readouterr().out.splitlines()[1:] == [
@@ -468,24 +491,15 @@ def test_config_file_with_flag_precedence(tmp_path):
     ("run", ["dump_matrices"]), ("branches", []), ("converge", ["taus", "reference_tau"]),
 ])
 def test_experiment_flags_are_the_config_fields(command, own_flags):
-    names = [f.name for f in fields(cli.ExperimentConfig)]
+    unread = {"branches": ["policy", "max_branches"], "converge": ["dt", "max_branches"]}
+    names = [f.name for f in fields(cli.ExperimentConfig) if f.name not in unread.get(command, [])]
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     actions = subparsers.choices[command]._actions
     assert [a.dest for a in actions] == ["help", "preset", "config", *names, *own_flags]
     flags = [a.option_strings for a in actions[3:3 + len(names)]]
     assert flags == [["--" + name.replace("_", "-")] for name in names]
-    assert set().union(*cli.PRESETS.values()) <= set(names)
-
-
-def test_experiment_subparsers_share_one_action_per_flag():
-    subparsers = next(a for a in build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    names = ["preset", "config", *(f.name for f in fields(cli.ExperimentConfig))]
-    shared = [{a.dest: a for a in subparsers.choices[command]._actions}
-              for command in ("run", "branches", "converge")]
-    for name in names:
-        assert shared[0][name] is shared[1][name] is shared[2][name], name
+    assert set().union(*cli.PRESETS.values()) <= {f.name for f in fields(cli.ExperimentConfig)}
 
 
 def test_unset_flags_leave_the_field_defaults():
@@ -518,7 +532,8 @@ def test_config_file_values_take_their_field_types(tmp_path):
     ("nx", "malformed config line: 'nx'"),
     # argparse checks only a flag's choices; a config file's value is checked against them
     ("potential = j9", "potential must be one of j1, j2, custom, got 'j9'"),
-    ("policy = best", "policy must be one of all, min_boundary, max_boundary, first, got 'best'"),
+    ("policy = best", "policy must be one of all, min_boundary, max_boundary, got 'best'"),
+    ("policy = first", "policy must be one of all, min_boundary, max_boundary, got 'first'"),
 ])
 def test_config_file_error_messages(tmp_path, capsys, text, message):
     f = tmp_path / "cfg.txt"
@@ -526,6 +541,20 @@ def test_config_file_error_messages(tmp_path, capsys, text, message):
     f.write_text(("" if text.startswith("potential") else "potential = j2\n") + text + "\n")
     assert _run_cli("run", "--config", str(f), "--out", str(tmp_path / "o")) == 1
     assert capsys.readouterr().err == "config error: %s\n" % message
+
+
+@pytest.mark.parametrize("command, key", [
+    ("branches", "policy = all"), ("branches", "max_branches = 8"),
+    ("converge", "dt = 0.1"), ("converge", "max_branches = 8"),
+])
+def test_config_keys_are_the_flags_of_the_command(tmp_path, capsys, command, key):
+    f = tmp_path / "cfg.txt"
+    f.write_text("potential = j2\nnx = 10\nT = 0.5\n%s\n" % key)
+    study = ["--taus", "0.1", "--reference-tau", "0.025"] if command == "converge" else []
+    out = tmp_path / "o"
+    assert _run_cli(command, "--config", str(f), *study, "--out", str(out)) == 1
+    assert capsys.readouterr().err == "config error: unknown config key %r\n" % key.split()[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["run", "--config"], ["check", "--constants"]])

@@ -176,6 +176,12 @@ def test_factor_of_fraction_mesh_matches_float_mesh():
         assert np.array_equal(solve_tridiagonal(sys_, rhs[:, 0]), want.solve(rhs[:, 0]))
 
 
+def test_system_rejects_off_diagonals_of_the_wrong_length():
+    for lower, upper in ((np.zeros(2), np.zeros(1)), (np.zeros(1), np.zeros(2))):
+        with pytest.raises(ValueError, match="^off-diagonals must have length size-1$"):
+            TridiagonalSystem(lower, np.zeros(2), upper)
+
+
 def test_solve_rejects_mismatched_rhs():
     sys_ = TridiagonalSystem(np.zeros(2), np.ones(3), np.zeros(2))
     for rhs in (np.ones(2), np.ones((4, 2)), np.ones((3, 2, 2))):

@@ -1,4 +1,5 @@
 import math
+import re
 import types
 
 import numpy as np
@@ -8,6 +9,7 @@ from hvisolve import (
     AffineSegment,
     PiecewiseQuadraticPotential,
     PotentialError,
+    SubdifferentialGraph,
     VerticalSegment,
     clarke_subdifferential,
     growth_constant,
@@ -70,10 +72,38 @@ def test_potential_rejects_unordered_breakpoints():
     ([], [(np.nan, 0.0, 0.0)]),
     ([], [(0.0, -np.inf, 0.0)]),
     ([1.0], [(0.0, np.nan, 0.0), (0.0, 0.0, 0.0)]),
-], ids=["breakpoint-inf", "curvature-nan", "slope-minus-inf", "nan-across-breakpoint"])
+    ([1e200], [(1.0, 0.0, 0.0), (0.0, 0.0, 5.0)]),
+], ids=["breakpoint-inf", "curvature-nan", "slope-minus-inf", "nan-across-breakpoint",
+        "value-overflows-at-breakpoint"])
 def test_potential_rejects_non_finite(breakpoints, pieces):
     with pytest.raises(PotentialError):
         PiecewiseQuadraticPotential(breakpoints, pieces)
+
+
+def test_graph_of_an_overflowing_slope_is_rejected():
+    # finite values, but the slope 2*1e308 overflows: no graph, not one
+    # without the vertical segment its jump at r = 1 needs
+    pot = PiecewiseQuadraticPotential([1.0], [(1e308, 0.0, 0.0), (0.0, 0.0, 1e308)])
+    with pytest.raises(PotentialError, match="is not finite$"):
+        clarke_subdifferential(pot)
+
+
+@pytest.mark.parametrize("segments, message", [
+    ([VerticalSegment(0.0, 0.0, 1.0)], "graph needs at least one affine segment"),
+    ([AffineSegment(0.0, math.inf, 0.0, 0.0)], "affine segments must cover all of R"),
+    ([AffineSegment(-math.inf, 0.0, 0.0, 0.0), AffineSegment(1.0, math.inf, 0.0, 0.0)],
+     "affine segments must tile R without gaps"),
+    ([AffineSegment(-math.inf, math.inf, math.inf, 0.0)], "is not finite"),
+    ([AffineSegment(-math.inf, math.inf, 0.0, math.nan)], "is not finite"),
+    ([AffineSegment(-math.inf, 1e300, 1e300, 0.0), AffineSegment(1e300, math.inf, 0.0, 0.0)],
+     "is not finite"),
+    ([AffineSegment(-math.inf, math.inf, 0.0, 0.0), VerticalSegment(0.0, -math.inf, 1.0)],
+     "is not finite"),
+], ids=["no-affine", "not-covering", "gap", "slope-inf", "intercept-nan",
+        "value-overflows-at-end", "vertical-inf"])
+def test_graph_rejects_bad_segments(segments, message):
+    with pytest.raises(PotentialError, match=re.escape(message)):
+        SubdifferentialGraph(segments)
 
 
 def test_potential_values():

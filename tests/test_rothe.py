@@ -58,6 +58,7 @@ def test_config_validation():
     for build, got in (
         (lambda: RotheConfig(tau=math.nan, num_steps=2), "nan"),
         (lambda: RotheConfig(tau=math.inf, num_steps=2), "inf"),
+        (lambda: RotheConfig(tau=0.1, num_steps=0), "0"),
         (lambda: RotheConfig.from_step(math.nan, 1.0), "nan"),
         (lambda: RotheConfig.from_step(math.inf, 1.0), "inf"),
         (lambda: RotheConfig.from_step(0.1, math.nan), "nan"),
@@ -332,16 +333,35 @@ def _parallel_segment_run():
 
 def test_step_failures_name_every_parent_at_every_level():
     tree, parallel = _parallel_segment_run()
-    assert tree.completed() and tree.terminated == [] and tree.max_branch_count > 2
+    assert tree.completed() and tree.terminated == [] and max(tree.branch_counts()) > 2
     assert len(parallel) == 1
-    want = [(k, row, parallel[0]) for k in range(1, tree.num_levels)
+    want = [(k, row, parallel[0]) for k in range(1, len(tree.levels))
             for row in range(len(tree.levels[k - 1]))]
     assert [f[:3] for f in tree.step_failures] == want
     assert all(f[3].startswith("no solution: segment parallel") for f in tree.step_failures)
-    assert len(want) > tree.num_levels  # some levels branch: ids well below the root's "0"
+    assert len(want) > len(tree.levels)  # some levels branch: ids well below the root's "0"
     ids = list(tree.level_ids())
     for k, row, _, _ in tree.step_failures:  # the parent row's id, by the oracle's own walk
         assert branch_id(tree, k - 1, row) == ids[k - 1][row]
+
+
+@pytest.mark.parametrize("policy", ["best", "first"])
+def test_run_rejects_an_unknown_policy_before_any_step(monkeypatch, policy):
+    def refuse(*args, **kw):
+        raise AssertionError("run() stepped")
+
+    monkeypatch.setattr(rothe, "rothe_step_all", refuse)
+    with pytest.raises(ValueError, match="^unknown branch policy '%s'$" % policy):
+        run(RotheConfig(tau=0.1, num_steps=1), Mesh1D.uniform(4), zero_flux_graph(),
+            np.zeros(4), branch_policy=policy)
+
+
+def test_chain_states_refuses_a_branching_tree():
+    tree = run(RotheConfig.from_step(0.05, 0.3), Mesh1D.uniform(10),
+               clarke_subdifferential(potential_j1()), np.full(10, 1.5), branch_policy="all")
+    assert tree.branch_counts() == [1, 1, 1, 1, 3, 5, 5]
+    with pytest.raises(ValueError, match="^tree has branching levels"):
+        tree.chain_states()
 
 
 def test_run_derives_no_branch_ids(monkeypatch):
@@ -352,9 +372,9 @@ def test_run_derives_no_branch_ids(monkeypatch):
     monkeypatch.setattr(rothe.SolutionTree, "level_ids", refuse)
     tree = run(RotheConfig.from_step(0.05, 0.3, max_branches=128), Mesh1D.uniform(10),
                clarke_subdifferential(potential_j1()), np.full(10, 1.5), branch_policy="all")
-    assert tree.completed() and tree.max_branch_count > 1
+    assert tree.completed() and max(tree.branch_counts()) > 1
     tree, _ = _parallel_segment_run()
-    assert tree.completed() and len(tree.step_failures) > tree.num_levels
+    assert tree.completed() and len(tree.step_failures) > len(tree.levels)
 
 
 def test_corner_solution_reported_twice_and_merged_once():
@@ -370,7 +390,6 @@ def test_corner_solution_reported_twice_and_merged_once():
     cfg = RotheConfig(tau=1 / 12, num_steps=1)
     want = {
         "all": [("0.1", "a1"), ("0.3", "a3")],
-        "first": [("0.1", "a1")],
         "min_boundary": [("0.1", "a1")],
         "max_boundary": [("0.3", "a3")],
     }
@@ -378,6 +397,41 @@ def test_corner_solution_reported_twice_and_merged_once():
         tree = run(cfg, mesh, graph, np.full(mesh.n, c), branch_policy=policy)
         tags = [tree.tags[s] for s in tree.levels[1].segment]
         assert list(zip(tree_branch_ids(tree)[1], tags)) == level, policy
+
+
+def test_kept_children_of_one_parent_rise_in_boundary_value():
+    # A parent's children come in segment order, and on a Clarke graph a later
+    # segment's boundary value lies at most 2*MEMBERSHIP_TOL below an earlier
+    # one's; with |w| < 1 two such children lie that close in the max norm, so
+    # the merge keeps the first of them.  The kept rows then rise strictly, and
+    # the first kept child of a single-parent level is the min_boundary pick.
+    rng = np.random.default_rng(33)
+    branching = 0
+    for trial in range(1000):
+        pot = (potential_j1, potential_j2, lambda: random_potential(rng))[trial % 3]()
+        graph = clarke_subdifferential(pot)
+        mesh = Mesh1D.uniform(int(rng.integers(2, 101)))
+        tau = float(mesh.dx) ** 2 * 10.0 ** rng.uniform(-3, 2)
+        op = rothe._schur_operator(mesh.n, float(mesh.dx), tau)
+        # aim the constant parent's e0, linear in the constant, at the window
+        # g*b + [lo, hi] of a breakpoint b, where the step may branch
+        b = float(rng.choice(pot.breakpoints))
+        lo, hi = graph.select(b)
+        e0_of_one = rothe._interiors(op, np.ones((1, mesh.n)), tau, None)[1][0]
+        c = (op.g * b + rng.uniform(lo - 0.2, hi + 0.2)) / e0_of_one
+        step = rothe_step_all(mesh, graph, np.full(mesh.n, c), tau, failures=[])
+        kept = rothe._merge_duplicates(step.states)
+        assert np.all(np.diff(step.states[kept, -1]) > 0), trial
+        assert rothe._select(step.states, kept, "min_boundary").tolist() == kept[:1].tolist()
+        branching += len(kept) > 1
+    assert branching >= 150  # the trials must actually branch
+
+
+def test_interior_response_is_below_one_in_max_norm():
+    for nx in (2, 10, 100, 1600):
+        dx = float(Mesh1D.uniform(nx).dx)
+        for e in range(-9, 7):
+            assert np.abs(rothe._schur_operator(nx, dx, 10.0 ** e).w).max() < 1, (nx, e)
 
 
 def test_membership_tolerance_at_segment_ends():
@@ -567,8 +621,8 @@ def test_truncation_keeps_the_envelope():
     mesh, graph = Mesh1D.uniform(100), clarke_subdifferential(potential_j1())
     full, cut = [run(RotheConfig.from_step(0.0025, 0.5, max_branches=cap), mesh, graph,
                      np.full(mesh.n, 2.0), branch_policy="all") for cap in (128, 64)]
-    assert not full.truncated and full.max_branch_count > 64
-    assert cut.truncated and cut.max_branch_count == 64 and cut.completed()
+    assert not full.truncated and max(full.branch_counts()) > 64
+    assert cut.truncated and max(cut.branch_counts()) == 64 and cut.completed()
     check_tree(cut, graph)
     for a, b in zip(full.levels, cut.levels):
         assert b.r.max() == a.r.max()
@@ -602,7 +656,7 @@ def test_extreme_branches_bracket_every_branch():
         for k, states in enumerate(trees["all"].level_states()):
             assert np.all(states >= lo[k] - 1e-9), k
             assert np.all(states <= hi[k] + 1e-9), k
-        branching += trees["all"].max_branch_count > 1
+        branching += max(trees["all"].branch_counts()) > 1
     assert branching >= 5  # the trials must actually branch
 
 
@@ -611,7 +665,7 @@ def test_run_policies_identical_for_linear_graph():
     cfg = RotheConfig.from_step(0.05, 0.5)
     trees = [
         run(cfg, mesh, zero_flux_graph(), np.full(mesh.n, 2.0), branch_policy=p)
-        for p in ("all", "first")
+        for p in ("all", "min_boundary")
     ]
     for a, b in zip(trees[0].level_states(), trees[1].level_states(), strict=True):
         assert len(a) == len(b) == 1
@@ -660,8 +714,8 @@ def test_tree_memory_is_its_level_arrays():
     assert sum(tree.branch_counts()) == 5363
     links = sum(a.nbytes for level in tree.levels
                 for a in (level.parent, level.segment, level.flux, level.r))
-    path = tree.num_levels * mesh.n * 8
-    widest = tree.max_branch_count * mesh.n * 8
+    path = len(tree.levels) * mesh.n * 8
+    widest = max(tree.branch_counts()) * mesh.n * 8
     assert held <= 2 * links + path + widest, (held, links, path, widest)
 
 
@@ -727,7 +781,7 @@ def test_run_keeps_the_step_block_of_a_whole_level():
     # levels keep every child.  Copying each kept level through take() reads
     # 6.2.
     tree, peak, held = _traced(_j1_enumerate_run())
-    widest = tree.max_branch_count * tree.mesh.n * 8
+    widest = max(tree.branch_counts()) * tree.mesh.n * 8
     assert peak - held < 5.4 * widest, (peak, held, widest)
 
 
@@ -736,7 +790,7 @@ def test_replay_steps_the_level_before_in_place():
     # its children: 4.7 widest-level blocks on j1-enumerate.  Gathering the
     # parents of rows 1.. before stepping them reads 5.8.
     tree = _j1_enumerate_run()()
-    widest = tree.max_branch_count * tree.mesh.n * 8
+    widest = max(tree.branch_counts()) * tree.mesh.n * 8
     replay = functools.partial(collections.deque, maxlen=0)
     assert _traced_peak(replay, tree.level_states()) < 5.2 * widest
 
@@ -751,7 +805,7 @@ def test_run_with_forcing_reaches_discrete_steady_state():
     g[-1] = mesh.dx / 2
     cfg = RotheConfig.from_step(0.1, 3.0)
     tree = run(cfg, mesh, zero_flux_graph(), np.full(mesh.n, 0.0), f=lambda t: g,
-               branch_policy="first")
+               branch_policy="min_boundary")
     assert check_tree(tree, zero_flux_graph(), f=lambda t: g) == cfg.num_steps
     with pytest.raises(AssertionError):  # the certificate does read the forcing
         check_tree(tree, zero_flux_graph())
@@ -771,7 +825,7 @@ def test_leaf_paths_share_the_root():
     assert max(tree.branch_counts()) > 1
     for leaf in range(len(tree.levels[-1])):
         path = tree.path_states(leaf)
-        assert len(path) == tree.num_levels
+        assert len(path) == len(tree.levels)
         assert np.array_equal(path[0], tree.levels[0].first)
 
 
@@ -819,7 +873,7 @@ def test_replayed_states_are_the_stepped_states(monkeypatch):
     for (tree, graph), f in zip(trees, (None, forcing, None)):
         assert check_tree(tree, graph, f=f) == sum(tree.branch_counts()[1:])
         stacks = list(tree.level_states())
-        ran, stepped = stepped[:tree.num_levels - 1], stepped[tree.num_levels - 1:]
+        ran, stepped = stepped[:len(tree.levels) - 1], stepped[len(tree.levels) - 1:]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(ran, stacks[:-1], strict=True))
         assert any(tree.path_rows(0))
         for leaf in range(len(tree.levels[-1])):
@@ -845,7 +899,7 @@ def test_path_replays_only_where_it_leaves_row_zero(monkeypatch):
     j1 = run(RotheConfig.from_step(0.05, 0.3, max_branches=128), Mesh1D.uniform(10),
              clarke_subdifferential(potential_j1()), np.full(10, 1.5), branch_policy="all")
     calls.clear()
-    assert j1.max_branch_count > 1 and not any(j1.path_rows(0))
+    assert max(j1.branch_counts()) > 1 and not any(j1.path_rows(0))
     j1.path_states(0)
     j1.boundary_values(0)
     assert calls == []
@@ -888,7 +942,7 @@ def test_interpolant_gap_identity():
     mesh = Mesh1D.uniform(40)
     cfg = RotheConfig.from_step(0.02, 0.4)
     tree = run(cfg, mesh, clarke_subdifferential(potential_j2()), np.full(mesh.n, 2.0),
-               branch_policy="first")
+               branch_policy="min_boundary")
     states = tree.chain_states()
     kit = MeshNorms(mesh)
     der = [np.linalg.norm(kit.whiten(kit.M.matvec(d / cfg.tau))) for d in np.diff(states, axis=0)]
