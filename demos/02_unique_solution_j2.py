@@ -36,7 +36,7 @@ def main():
     print("region (1, 2), where the flux 2 - u(1) drains heat, and then")
     print("relaxes toward 0 under the Dirichlet end alone")
 
-    report = interpolant_norms(mesh, tree.chain_states(), config.tau)
+    report = interpolant_norms(mesh, tree.path_states(0), config.tau)
     print("norms of the step-function trajectory:")
     print("  L2(0,T;V)             = %.6f" % report.l2V)
     print("  Linf(0,T;H)           = %.6f" % report.linfH)

@@ -46,7 +46,8 @@ def main():
     tau = 0.005
     config = RotheConfig.from_step(tau, 1.0)
     tree = run(config, mesh, zero_flux_graph(), project_initial(mesh, lambda x: math.sin(lam * x)))
-    states = tree.chain_states()
+    assert max(tree.branch_counts()) == 1, "expected a unique discrete solution"
+    states = tree.path_states(0)
     norms = MeshNorms(mesh)
     mode = np.sin(lam * mesh.nodes)
     err = max(
@@ -63,7 +64,7 @@ def main():
     for tau in (0.04, 0.02, 0.01, 0.005):
         tree = run(RotheConfig.from_step(tau, 1.0), mesh, graph, np.full(mesh.n, 2.0),
                    branch_policy="min_boundary")
-        states = np.array(tree.chain_states())
+        states = np.array(tree.path_states(0))
         print("  %-10g %-10.5f %-12.5f %-10.5f" % (
             tau, norms.h(states[1:]).max(), (norms.h(np.diff(states, axis=0)) ** 2).sum(),
             tau * norms.v_sq(states[1:]).sum()))

@@ -61,13 +61,7 @@ class MeshNorms:
 
     def h(self, c):
         """L2 norm of the P1 function with nodal coefficients c, or of each stack row."""
-        return self.h_and_action(c)[0]
-
-    def h_and_action(self, c):
-        """``h(c)`` and the action vector M c it is computed from: one M
-        product serves the H norms and, through ``whiten``, the dual ones."""
-        action = self.M.matvec(c)
-        return np.sqrt(_quadratic_form(c, action)), action
+        return np.sqrt(_quadratic_form(c, self.M.matvec(c)))
 
     def v_sq(self, c):
         """Squared full H1 norm c^T (M+K) c, of a vector or of each stack row."""
@@ -106,7 +100,8 @@ def interpolant_norms(mesh, states, tau):
     for start in range(0, len(states), NORM_BLOCK):
         rows = slice(start, start + NORM_BLOCK)
         block = np.asarray(states[rows], dtype=float)
-        h_norms[rows], action[rows] = kit.h_and_action(block)
+        action[rows] = kit.M.matvec(block)  # one M product: the H norms and the whitening
+        h_norms[rows] = np.sqrt(_quadratic_form(block, action[rows]))
         v_sq[rows] = kit.v_sq(block)
     l2V = math.sqrt(tau * v_sq[1:].sum())
     y = kit.whiten(action.T)
@@ -268,10 +263,9 @@ class StudyProblem:
     initial: object
     policy: str = "min_boundary"
     horizon: float = 1.0
-    max_branches: int = RotheConfig.max_branches
 
     def solve(self, tau):
-        config = RotheConfig.from_step(tau, self.horizon, max_branches=self.max_branches)
+        config = RotheConfig.from_step(tau, self.horizon)
         return run(config, self.mesh, self.graph, self.initial, None, self.policy).require_solved()
 
 

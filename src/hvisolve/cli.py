@@ -518,7 +518,15 @@ def _experiment_flags(p, command):
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors exit 1, the configuration-error
-    code, instead of argparse's 2, the code of a numerical failure here."""
+    code, instead of argparse's 2, the code of a numerical failure here.
+    A subcommand reports the arguments it does not know itself, with its
+    own usage, instead of passing them up to the root parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: %s" % " ".join(extras))
+        return args, extras
 
     def error(self, message):
         self.print_usage(sys.stderr)

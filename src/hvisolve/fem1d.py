@@ -153,7 +153,9 @@ class ThomasFactor:
 
 def factor_tridiagonal(sys):
     """Pivots and multipliers of Thomas elimination; raises SingularSystemError
-    on |pivot| < 1e-14.
+    on |pivot| < 1e-14.  No matrix hvisolve factors comes near that: the
+    smallest pivot of M + K and of the step's interior matrix is above 1.3
+    for nx from 2 to 1e5 and tau from 1e-12 to 1e300 (test_fem1d pins it).
 
     Entries are taken as floats, so a ``Fraction`` matrix factors like the
     float matrix of its rounded entries.

@@ -264,12 +264,6 @@ class SolutionTree:
                 k, path[-1][None, :], [0], level.r[row:row + 1])[0])
         return path
 
-    def chain_states(self):
-        """States of a single-branch tree; fails if any level branched."""
-        if any(len(level) != 1 for level in self.levels):
-            raise ValueError("tree has branching levels; pick a leaf explicitly")
-        return [level.first for level in self.levels]
-
     def boundary_values(self, leaf_index=0):
         return np.array([level.r[row] for level, row in zip(self.levels,
                                                              self.path_rows(leaf_index))])

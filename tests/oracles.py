@@ -414,8 +414,9 @@ class BoundSuiteVerdict:
 
 
 def _lemma_quantities(tree):
+    assert max(tree.branch_counts()) == 1, "apriori_bound_suite takes single-branch trees"
     kit = MeshNorms(tree.mesh)
-    states = np.array(tree.chain_states())
+    states = np.array(tree.path_states(0))
     q1 = kit.h(states[1:]).max()
     q2 = (kit.h(np.diff(states, axis=0)) ** 2).sum()
     q3 = tree.config.tau * kit.v_sq(states[1:]).sum()

@@ -198,7 +198,7 @@ def test_criterion_06_interpolant_identity():
             tree = run(cfg, mesh, graph, np.full(mesh.n, 2.0), branch_policy=policy)
             assert tree.completed()
             check_tree(tree, graph)
-            states = tree.chain_states()
+            states = tree.path_states(0)
             lhs = interpolant_gap(mesh, states, cfg.tau) ** 2
             du = interpolant_norms(mesh, states, cfg.tau).l2Vstar_of_derivative
             rhs = cfg.tau**2 / 3.0 * du**2
@@ -240,7 +240,8 @@ def test_criterion_08_convergence_trend():
         initial = project_initial(mesh, lambda x: math.sin(lam * x))
         tree = run(cfg, mesh, zero_flux_graph(), initial)
         kit = MeshNorms(mesh)
-        states = tree.chain_states()
+        assert max(tree.branch_counts()) == 1
+        states = tree.path_states(0)
         err = max(
             kit.h(states[k] - heat_series_solution(mesh.nodes, k * tau, [1.0]))
             for k in range(1, cfg.num_steps + 1)
@@ -270,7 +271,7 @@ def test_criterion_09_bv2_correctness():
             cfg = preset_config()
             tree = run(cfg, mesh, graph, np.full(mesh.n, 2.0), branch_policy=policy)
             check_tree(tree, graph)
-            report = interpolant_norms(mesh, tree.chain_states(), cfg.tau)
+            report = interpolant_norms(mesh, tree.path_states(0), cfg.tau)
             envelope = cfg.horizon * report.l2Vstar_of_derivative**2
             assert report.bv2_Vstar <= envelope * (1 + 1e-9)
 

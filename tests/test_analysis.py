@@ -115,7 +115,7 @@ def test_bv2_of_paper_j2_path_matches_dense_oracle():
     cfg = RotheConfig.from_step(0.01, 1.0)
     tree = run(cfg, mesh, clarke_subdifferential(potential_j2()), np.full(mesh.n, 2.0),
                branch_policy="min_boundary")
-    states = tree.chain_states()
+    states = tree.path_states(0)
     assert len(states) == 101
     m = to_dense(assemble_mass(mesh)).astype(float)
     want = bv2_seminorm(states, lambda d: np.array([dense_dual_norm(mesh, m @ v) for v in d]))
@@ -125,7 +125,9 @@ def test_bv2_of_paper_j2_path_matches_dense_oracle():
 def test_gap_equals_scaled_derivative_norm_pure_heat():
     mesh = Mesh1D.uniform(25)
     cfg = RotheConfig.from_step(0.04, 0.6)
-    states = run(cfg, mesh, zero_flux_graph(), np.full(mesh.n, 2.0)).chain_states()
+    tree = run(cfg, mesh, zero_flux_graph(), np.full(mesh.n, 2.0))
+    assert max(tree.branch_counts()) == 1
+    states = tree.path_states(0)
     report = interpolant_norms(mesh, states, cfg.tau)
     gap = interpolant_gap(mesh, states, cfg.tau)
     assert gap == pytest.approx(cfg.tau / math.sqrt(3.0) * report.l2Vstar_of_derivative, rel=1e-10)
@@ -136,7 +138,7 @@ def test_bv2_bounded_by_derivative_envelope():
     cfg = RotheConfig.from_step(0.04, 0.6)
     for graph in (zero_flux_graph(), clarke_subdifferential(potential_j2())):
         tree = run(cfg, mesh, graph, np.full(mesh.n, 2.0), branch_policy="min_boundary")
-        report = interpolant_norms(mesh, tree.chain_states(), cfg.tau)
+        report = interpolant_norms(mesh, tree.path_states(0), cfg.tau)
         envelope = cfg.horizon * report.l2Vstar_of_derivative**2
         assert report.bv2_Vstar <= envelope * (1 + 1e-9)
 
@@ -296,11 +298,11 @@ def test_bound_and_convergence_sums_match_dense_loops():
     problem = StudyProblem(mesh=mesh, graph=graph, initial=np.full(mesh.n, 2.0), horizon=0.4)
     ref_tau = 0.005
     ref_tree = problem.solve(ref_tau)
-    ref = ref_tree.chain_states()
+    ref = ref_tree.path_states(0)
     table = convergence_study(problem, [0.04, 0.02], ref_tau)
     for row in table.rows:
         tree = problem.solve(row.tau)
-        states = tree.chain_states()
+        states = tree.path_states(0)
         ratio = round(row.tau / ref_tau)
         err_ch = max(math.sqrt((states[k] - ref[k * ratio]) @ m @ (states[k] - ref[k * ratio]))
                      for k in range(1, len(states)))

@@ -194,7 +194,12 @@ def test_usage_errors_are_config_errors(capsys, argv, code, message):
         _run_cli(*argv)
     assert exc.value.code == code
     err = capsys.readouterr().err
-    assert message in err and ("error: " in err) == (code != 0)
+    if code:  # the subcommand reports the error under its own usage line
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: hvisolve %s [-h] " % argv[0])
+        assert lines[-1].startswith("hvisolve %s: error: %s" % (argv[0], message))
+    else:
+        assert "error: " not in err
 
 
 def test_run_reports_numerical_failure(tmp_path):

@@ -13,6 +13,7 @@ from hvisolve import (
     factor_tridiagonal,
     solve_tridiagonal,
 )
+from hvisolve.rothe import _schur_operator
 from oracles import dense_dual_norm, dense_mass_and_stiffness, to_dense
 
 
@@ -121,6 +122,19 @@ def test_solve_rejects_singular_pivot():
     sys_ = TridiagonalSystem(np.array([1.0]), np.array([0.0, 1.0]), np.array([1.0]))
     with pytest.raises(SingularSystemError):
         solve_tridiagonal(sys_, np.array([1.0, 1.0]))
+
+
+def test_pivots_of_the_factored_matrices_stay_above_1_3():
+    # the bound factor_tridiagonal's docstring states: M + K of the norm kit
+    # (smallest pivot 1.313) and the step's interior matrix of M/tau + K
+    for n in (2, 3, 10, 100, 1600, 100000):
+        mesh = Mesh1D.uniform(n)
+        mk = factor_tridiagonal(assemble_mass(mesh) + assemble_stiffness(mesh))
+        assert min(mk.pivots) >= 1.3, n
+        for tau in (1e-12, 1e-6, 1e-2, 1.0, 1e6, 1e300):
+            # unwrapped: the cache would keep the six factors of n = 100000
+            op = _schur_operator.__wrapped__(n, float(mesh.dx), tau)
+            assert min(op.interior.pivots) >= 1.3, (n, tau)
 
 
 def test_solve_multi_column_matches_vector_and_dense_solves():

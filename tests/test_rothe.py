@@ -356,12 +356,14 @@ def test_run_rejects_an_unknown_policy_before_any_step(monkeypatch, policy):
             np.zeros(4), branch_policy=policy)
 
 
-def test_chain_states_refuses_a_branching_tree():
+def test_j1_tree_branch_counts():
+    # j1 from u0 = 1.5 splits at the fourth step; the path of leaf 0 stays on
+    # row 0, so it is each level's stored state, as on a single-branch tree
     tree = run(RotheConfig.from_step(0.05, 0.3), Mesh1D.uniform(10),
                clarke_subdifferential(potential_j1()), np.full(10, 1.5), branch_policy="all")
     assert tree.branch_counts() == [1, 1, 1, 1, 3, 5, 5]
-    with pytest.raises(ValueError, match="^tree has branching levels"):
-        tree.chain_states()
+    path = tree.path_states(0)
+    assert all(s is level.first for s, level in zip(path, tree.levels, strict=True))
 
 
 def test_run_derives_no_branch_ids(monkeypatch):
@@ -651,8 +653,8 @@ def test_extreme_branches_bracket_every_branch():
         for tree in trees.values():
             tree.require_solved()
         assert not trees["all"].truncated
-        lo = trees["min_boundary"].chain_states()
-        hi = trees["max_boundary"].chain_states()
+        lo = trees["min_boundary"].path_states(0)
+        hi = trees["max_boundary"].path_states(0)
         for k, states in enumerate(trees["all"].level_states()):
             assert np.all(states >= lo[k] - 1e-9), k
             assert np.all(states <= hi[k] + 1e-9), k
@@ -814,7 +816,7 @@ def test_run_with_forcing_reaches_discrete_steady_state():
 
     steady = solve_tridiagonal(k, g)
     assert np.allclose(steady, exact, atol=1e-12)  # nodal exactness in 1D
-    assert np.max(np.abs(tree.chain_states()[-1] - steady)) < 1e-2
+    assert np.max(np.abs(tree.path_states(0)[-1] - steady)) < 1e-2
 
 
 def test_leaf_paths_share_the_root():
@@ -933,7 +935,8 @@ def test_backward_euler_dissipativity_pure_heat():
     cfg = RotheConfig.from_step(0.02, 0.6)
     tree = run(cfg, mesh, zero_flux_graph(), np.full(mesh.n, 2.0))
     kit = MeshNorms(mesh)
-    h = [kit.h(s) for s in tree.chain_states()]
+    assert max(tree.branch_counts()) == 1
+    h = [kit.h(s) for s in tree.path_states(0)]
     assert all(b <= a + 1e-12 for a, b in zip(h, h[1:]))
 
 
@@ -943,7 +946,7 @@ def test_interpolant_gap_identity():
     cfg = RotheConfig.from_step(0.02, 0.4)
     tree = run(cfg, mesh, clarke_subdifferential(potential_j2()), np.full(mesh.n, 2.0),
                branch_policy="min_boundary")
-    states = tree.chain_states()
+    states = tree.path_states(0)
     kit = MeshNorms(mesh)
     der = [np.linalg.norm(kit.whiten(kit.M.matvec(d / cfg.tau))) for d in np.diff(states, axis=0)]
     rhs = cfg.tau**2 / 3.0 * cfg.tau * sum(v * v for v in der)
