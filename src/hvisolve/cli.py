@@ -87,6 +87,9 @@ class ExperimentConfig:
             if "choices" in f.metadata and value not in f.metadata["choices"]:
                 raise ConfigError("%s must be one of %s, got %r"
                                   % (f.name, ", ".join(f.metadata["choices"]), value))
+        for key in ("breakpoints", "pieces"):
+            if getattr(self, key) and self.potential != "custom":
+                raise ConfigError("%s needs potential = custom, got %r" % (key, self.potential))
         self.mesh = _config_checked(Mesh1D.uniform, self.nx)
         self.graph = parse_potential(self)
         self.initial = project_initial(self.mesh, parse_u0(self.u0))

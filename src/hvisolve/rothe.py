@@ -24,7 +24,8 @@ for many, so a child's bits never depend on which other parents share its
 level.
 
 A segment parallel to the lines xi = e0 - g*r has no solution or a
-continuum of them; both are reported, never skipped silently.
+continuum of them; both are reported, never skipped silently, and so is a
+parent that no segment gives a child.
 Otherwise each segment holds at most one solution per parent, so trying
 every segment recovers the complete solution set.  A solution at a corner
 of the graph, where two segments meet, is reported by both; ``run`` merges
@@ -168,9 +169,9 @@ class SolutionTree:
     stepping with ``forcing``, the ``f`` given to ``run``, calling it again
     for each level they replay: it must give the same vector for the same t,
     or they differ from the stepped states.  ``finite`` is False once ``run``
-    kept a non-finite state.  Records of ``terminated`` and ``step_failures``
-    at level k hold a ``parent_row`` of level k-1 too; only ``level_ids``
-    derives branch ids.
+    kept a non-finite state.  A ``step_failures`` record at level k holds a
+    ``parent_row`` of level k-1; a parent with no child has one tagged
+    ``-``.  Only ``level_ids`` derives branch ids.
     """
 
     mesh: object
@@ -180,7 +181,6 @@ class SolutionTree:
     forcing: object = None
     finite: bool = True
     truncated: bool = False
-    terminated: list = field(default_factory=list)  # (level, parent_row) of dead ends
     step_failures: list = field(default_factory=list)  # (level, parent_row, case_tag, message)
 
     def level_ids(self):
@@ -274,14 +274,12 @@ class SolutionTree:
         if not self.completed():
             level = self.no_solution_level
             quoted = self.quote_failures(level)
-            msg = "%s at step %r of tau=%r (%d step failure%s at that step)" % (
-                "no isolated solution" if quoted else "no solution on any segment",
-                level, self.config.tau, len(quoted), "" if len(quoted) == 1 else "s")
-            if quoted:
-                more = len(quoted) - QUOTED_FAILURES
-                msg += ": " + "; ".join(quoted[:QUOTED_FAILURES]) + (
-                    "; and %d more" % more if more > 0 else "")
-            raise NoSolutionError(msg)
+            more = len(quoted) - QUOTED_FAILURES
+            raise NoSolutionError(
+                "no isolated solution at step %r of tau=%r (%d step failure%s at that step): %s%s"
+                % (level, self.config.tau, len(quoted), "" if len(quoted) == 1 else "s",
+                   "; ".join(quoted[:QUOTED_FAILURES]),
+                   "; and %d more" % more if more > 0 else ""))
         if not self.finite:
             raise FloatingPointError("non-finite state in the solution tree")
         return self
@@ -415,6 +413,8 @@ def rothe_step_all(mesh, graph, parents, tau, f_k=None, *, failures):
     Schur line (no solution, or a continuum of them) yields no child and is
     reported into the list ``failures``, which every caller passes, once per
     parent, as (parent row, case tag, message); the other segments still run.
+    A parent with no child gets a record tagged ``-`` there, after its own
+    parallel-segment records and before the next parent's.
     """
     op = _schur_operator(mesh.n, float(mesh.dx), float(tau))
     parents = np.asarray(parents, dtype=float)
@@ -423,8 +423,10 @@ def rothe_step_all(mesh, graph, parents, tau, f_k=None, *, failures):
     y, e0 = _interiors(op, parents, tau, f_k)
     e0 = e0.tolist()
     table, parallel = _segment_table(graph, op.g)
+    tags = segment_tags(graph) if parallel else None
     rows, segs, r, flux = [], [], [], []
     for row, e in enumerate(e0):
+        found = len(rows)
         for idx, (vertical, r0, slope, intercept, shift, scale, lo, hi) in enumerate(table):
             t = (e - shift) / scale
             if lo <= t <= hi:
@@ -432,11 +434,10 @@ def rothe_step_all(mesh, graph, parents, tau, f_k=None, *, failures):
                 segs.append(idx)
                 r.append(r0 if vertical else t)
                 flux.append(t if vertical else slope * t + intercept)
-    if parallel:
-        tags = segment_tags(graph)
-        for row, offset in enumerate(e0):
-            for idx in parallel:
-                failures.append((row, tags[idx], _parallel_message(graph.segments[idx], offset)))
+        for idx in parallel:
+            failures.append((row, tags[idx], _parallel_message(graph.segments[idx], e)))
+        if len(rows) == found:
+            failures.append((row, "-", "no solution on any segment, e0 = %r" % (e,)))
 
     rows = np.array(rows, dtype=np.intp)
     interior = y[rows]
@@ -497,11 +498,12 @@ def run(config, mesh, graph, initial, f=None, branch_policy="all"):
     Forcing is averaged over each step interval (a zero vector when f is
     None), and again for each level the tree's replay steps: f must give the
     same vector for the same t.  Each level is stepped in one call, all of its
-    branches at once.  Dead ends and step failures are recorded by parent row;
-    if every branch dies the tree stops early, at ``no_solution_level``.  The
-    children of a level are merged (corner solutions, states reached from two
-    parents) before the branch policy picks among them; a level beyond
-    ``config.max_branches`` is cut to evenly spaced boundary values.
+    branches at once.  Step failures, dead ends among them, are recorded by
+    parent row; if every branch dies the tree stops early, at
+    ``no_solution_level``.  The children of a level are merged (corner
+    solutions, states reached from two parents) before the branch policy
+    picks among them; a level beyond ``config.max_branches`` is cut to evenly
+    spaced boundary values.
     """
     if branch_policy not in BRANCH_POLICIES:
         raise ValueError("unknown branch policy %r" % (branch_policy,))
@@ -521,9 +523,6 @@ def run(config, mesh, graph, initial, f=None, branch_policy="all"):
         step = rothe_step_all(mesh, graph, level.states, config.tau, tree.step_forcing(k),
                               failures=fails)
         tree.step_failures.extend((k,) + fail for fail in fails)
-        stepped = set(step.parent.tolist())
-        if len(stepped) < len(level):
-            tree.terminated.extend((k, row) for row in range(len(level)) if row not in stepped)
         if not len(step):
             break
         kept = _select(step.states, _merge_duplicates(step.states), branch_policy)

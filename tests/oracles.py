@@ -52,6 +52,32 @@ def dense_step_matrix(mesh, tau):
     return m, m / tau + k
 
 
+def boundary_kernel(mesh, tau, steps, initial):
+    """The boundary-history recurrence of the unforced step, from dense numpy.
+
+    With A = M/tau + K from dense_step_matrix, a step from ``prev`` to the
+    boundary value r gives the child T prev + r*q: T solves the interior rows
+    at boundary value 0 and q = (-w, 1), w = A_II^{-1} A_Ib.  Its flux is
+    e0 - g*r, with g = A_bb - A_bI w and e0 = ell(prev) a linear functional.
+    So step k of a branch whose levels 1..k-1 have boundary values r_j has
+    e0 = phi[k-1] + sum_j h[k-1-j] r_j.  Returns g and the arrays
+    h[i] = ell T^i q and phi[i] = ell T^i initial, for i < steps.
+    """
+    m, a = dense_step_matrix(mesh, tau)
+    solve = functools.partial(np.linalg.solve, a[:-1, :-1])
+    w = solve(a[:-1, -1])
+    g = a[-1, -1] - a[-1, :-1] @ w
+    t = np.zeros_like(m)
+    t[:-1] = solve(m[:-1] / tau)
+    ell = m[-1] / tau - a[-1, :-1] @ t[:-1]
+    h, phi = np.empty(steps), np.empty(steps)
+    v, u = np.append(-w, 1.0), np.asarray(initial, dtype=float)
+    for i in range(steps):
+        h[i], phi[i] = ell @ v, ell @ u
+        v, u = t @ v, t @ u
+    return float(g), h, phi
+
+
 @functools.lru_cache(maxsize=8)
 def _dense_mass_plus_stiffness(mesh):
     m, k = dense_mass_and_stiffness(mesh)

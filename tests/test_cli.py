@@ -119,9 +119,15 @@ def test_run_requires_potential(tmp_path):
     (["run", "--potential", "custom", "--breakpoints", "1e200", "--pieces", "1:0:0;0:0:5",
       "--nx", "10", "--dt", "0.1", "--T", "0.3"],
      "bad custom potential: not finite at breakpoint r=1e+200: inf vs 5.0"),
+    # custom pieces beside a built-in potential are rejected, not ignored
+    (["run", "--preset", "paper-j2", "--breakpoints", "0.5", "--pieces", "1:0:0;0:0:0.25"],
+     "breakpoints needs potential = custom, got 'j2'"),
+    (["branches", "--potential", "j1", "--pieces", "1:0:0"],
+     "pieces needs potential = custom, got 'j1'"),
 ], ids=["converge-repeated-tau", "run-bad-u0", "branches-bad-potential", "run-u0-before-dt",
         "run-bad-u0-constant", "run-u0-without-prefix", "converge-bad-tau-list",
-        "run-slope-overflows", "run-value-overflows"])
+        "run-slope-overflows", "run-value-overflows", "run-custom-flags-beside-preset",
+        "branches-pieces-beside-j1"])
 def test_rejected_command_leaves_no_output_directory(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
     assert _run_cli(*argv, "--out", str(out)) == 1
@@ -230,7 +236,8 @@ def test_run_failure_quotes_the_dying_step(tmp_path, capsys, pieces, failure):
     assert code == 2
     assert capsys.readouterr().err == (
         "numerical failure: no isolated solution at step 1 of tau=0.08333333333333333 "
-        "(1 step failure at that step): branch 0, a0: %s\n" % failure)
+        "(2 step failures at that step): branch 0, a0: %s; "
+        "branch 0, -: no solution on any segment, e0 = 7.25\n" % failure)
 
 
 def _parallel_piece_flags(command):
@@ -259,6 +266,18 @@ def test_run_reports_surviving_step_failures(tmp_path, capsys):
         "step failures: 12, first: " + PARALLEL_FAILURE)
     assert _run_cli("run", *J2_SMALL, "--out", str(tmp_path / "o")) == 0
     assert "step failures" not in capsys.readouterr().out
+
+
+def test_run_reports_dead_ends_as_step_failures(tmp_path, capsys):
+    # a parent with no child is a step failure tagged "-": the lower branch
+    # of the concave run dies at each of steps 2-6 (see test_surface_follows_parent_links)
+    code = _run_cli("run", "--potential", "custom", "--breakpoints", "0",
+                    "--pieces=-3:0:0;0:0:0", "--nx", "6", "--dt", "0.05", "--T", "0.3",
+                    "--u0", "const:1.5", "--policy", "all", "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[2] == (
+        "step failures: 5, first: step 2, branch 0.0, -: "
+        "no solution on any segment, e0 = -8.372479383016287")
 
 
 def test_branches_reports_step_failures_of_each_extreme_run(tmp_path, capsys):
@@ -490,6 +509,11 @@ def test_config_file_with_flag_precedence(tmp_path):
     f.write_text("nonsense = 1\n")
     with pytest.raises(ConfigError):
         merge_config(build_parser().parse_args(["run", "--config", str(f)]))
+    # a preset replaces the file's potential, which leaves its custom pieces unread
+    f.write_text("potential = custom\nbreakpoints = 0\npieces = -3:0:0;0:0:0\n")
+    args = build_parser().parse_args(["run", "--config", str(f), "--preset", "paper-j1"])
+    with pytest.raises(ConfigError, match="^breakpoints needs potential = custom, got 'j1'$"):
+        merge_config(args)
 
 
 @pytest.mark.parametrize("command, own_flags", [
@@ -539,6 +563,7 @@ def test_config_file_values_take_their_field_types(tmp_path):
     ("potential = j9", "potential must be one of j1, j2, custom, got 'j9'"),
     ("policy = best", "policy must be one of all, min_boundary, max_boundary, got 'best'"),
     ("policy = first", "policy must be one of all, min_boundary, max_boundary, got 'first'"),
+    ("pieces = 1:0:0", "pieces needs potential = custom, got 'j2'"),
 ])
 def test_config_file_error_messages(tmp_path, capsys, text, message):
     f = tmp_path / "cfg.txt"
@@ -815,7 +840,7 @@ def test_surface_follows_parent_links(tmp_path):
         [0.0], [(-3.0, 0.0, 0.0), (0.0, 0.0, 0.0)]))
     tree = run(RotheConfig.from_step(0.05, 0.3), Mesh1D.uniform(6), graph, np.full(6, 1.5))
     assert tree.branch_counts() == [1] + [2] * 6
-    assert tree.terminated == [(k, 0) for k in range(2, 7)]
+    assert [f[:3] for f in tree.step_failures] == [(k, 0, "-") for k in range(2, 7)]
     assert tree.path_rows(0) == [0, 1, 1, 1, 1, 1, 0]
     stacks = list(tree.level_states())
     assert all((stacks[k][0] != stacks[k][1]).all() for k in range(1, 6))

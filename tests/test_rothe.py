@@ -32,6 +32,7 @@ from hvisolve import (
 from hvisolve import rothe
 from hvisolve.nonsmooth import MEMBERSHIP_TOL
 from oracles import (
+    boundary_kernel,
     branch_id,
     check_tree,
     exact_solution_count,
@@ -157,7 +158,8 @@ def test_step_singular_segment_reported_and_skipped():
     failures = []
     sols = rothe_step_all(mesh, graph, np.array([2.0, 2.0]), tau=1 / 12, failures=failures)
     assert len(sols) == 0
-    assert len(failures) == 1 and failures[0][:2] == (0, "a0")
+    assert [f[:2] for f in failures] == [(0, "a0"), (0, "-")]
+    assert failures[1][2] == "no solution on any segment, e0 = 7.25"
     with pytest.raises(TypeError):  # no caller can drop the reports by leaving out the list
         rothe_step_all(mesh, graph, np.array([2.0, 2.0]), tau=1 / 12)
 
@@ -176,7 +178,7 @@ def test_step_parallel_segment_classified():
         sols = rothe_step_all(mesh, clarke_subdifferential(pot), np.array([2.0, 2.0]),
                               tau=1 / 12, failures=failures)
         assert len(sols) == 0
-        assert len(failures) == 1 and failures[0][:2] == (0, "a0")
+        assert [f[:2] for f in failures] == [(0, "a0"), (0, "-")]
         assert verdict in failures[0][2]
 
 
@@ -299,25 +301,28 @@ def test_require_solved_quotes_the_dying_level():
     assert str(err.value) == (
         "no isolated solution at step 3 of tau=0.5 (2 step failures at that step): "
         "branch 0.4.7, v1: deep; branch 0.4.2, a0: deeper")
-    tree.step_failures = tree.step_failures[:6]
+    # a dead end is quoted as any other step failure, by its tag "-"
+    tree.step_failures = tree.step_failures[:6] + [(3, 1, "-", "no solution on any segment")]
     with pytest.raises(rothe.NoSolutionError) as err:
         tree.require_solved()
     assert str(err.value) == (
-        "no solution on any segment at step 3 of tau=0.5 (0 step failures at that step)")
+        "no isolated solution at step 3 of tau=0.5 (1 step failure at that step): "
+        "branch 0.1.0, -: no solution on any segment")
     tree.levels.append(_hand_level([0], [0]))  # the last step: the tree is complete
     assert tree.no_solution_level is None and tree.require_solved() is tree
 
 
+def _dead_tree():
+    """Dies at step 1, whose only segment is parallel to the Schur line."""
+    graph = clarke_subdifferential(PiecewiseQuadraticPotential([], [(-1.9375, 0.0, 0.0)]))
+    return run(RotheConfig(tau=1 / 12, num_steps=2), Mesh1D(2, 0.5), graph, np.full(2, 2.0))
+
+
 def test_run_records_dead_tree():
-    mesh = Mesh1D(2, 0.5)
-    pot = PiecewiseQuadraticPotential([], [(-1.9375, 0.0, 0.0)])
-    graph = clarke_subdifferential(pot)
-    cfg = RotheConfig(tau=1 / 12, num_steps=2)
-    tree = run(cfg, mesh, graph, np.full(mesh.n, 2.0))
+    tree = _dead_tree()
     assert not tree.completed()
     assert tree.no_solution_level == 1
-    assert tree.terminated == [(1, 0)]
-    assert tree.step_failures
+    assert [f[:3] for f in tree.step_failures] == [(1, 0, "a0"), (1, 0, "-")]
 
 
 def _parallel_segment_run():
@@ -333,16 +338,44 @@ def _parallel_segment_run():
 
 def test_step_failures_name_every_parent_at_every_level():
     tree, parallel = _parallel_segment_run()
-    assert tree.completed() and tree.terminated == [] and max(tree.branch_counts()) > 2
+    assert tree.completed() and max(tree.branch_counts()) > 2
     assert len(parallel) == 1
     want = [(k, row, parallel[0]) for k in range(1, len(tree.levels))
             for row in range(len(tree.levels[k - 1]))]
-    assert [f[:3] for f in tree.step_failures] == want
+    assert [f[:3] for f in tree.step_failures] == want  # and none tagged "-": no dead end
     assert all(f[3].startswith("no solution: segment parallel") for f in tree.step_failures)
     assert len(want) > len(tree.levels)  # some levels branch: ids well below the root's "0"
     ids = list(tree.level_ids())
     for k, row, _, _ in tree.step_failures:  # the parent row's id, by the oracle's own walk
         assert branch_id(tree, k - 1, row) == ids[k - 1][row]
+
+
+def _dead_end_tree():
+    """94 branches by step 7 on nx=10, none cut, and six dead ends at steps 4-7."""
+    graph = clarke_subdifferential(PiecewiseQuadraticPotential(
+        [0.0], [(-5.0, 0.0, 0.0), (0.0, 0.0, 0.0)]))
+    return run(RotheConfig.from_step(0.05, 0.35, max_branches=128), Mesh1D.uniform(10), graph,
+               np.full(10, 1.5), branch_policy="all")
+
+
+def test_every_childless_parent_has_one_dead_end_record():
+    # Recounted from the parent links: with every child kept (policy "all",
+    # no cut, no state reached from two parents), a parent has no child in
+    # the tree exactly when its step found none, and every row of a dying
+    # level has none.
+    trees = [_dead_tree(), _row_zero_dies_tree()[0], _dead_end_tree(), _parallel_segment_run()[0],
+             run(RotheConfig.from_step(0.05, 0.3), Mesh1D.uniform(10),
+                 clarke_subdifferential(potential_j1()), np.full(10, 1.5), branch_policy="all")]
+    counts = []
+    for tree in trees:
+        assert not tree.truncated
+        childless = []
+        for k in range(1, len(tree.levels) + (not tree.completed())):
+            links = set(tree.levels[k].parent.tolist()) if k < len(tree.levels) else set()
+            childless += [(k, row) for row in range(len(tree.levels[k - 1])) if row not in links]
+        assert [(k, row) for k, row, tag, _ in tree.step_failures if tag == "-"] == childless
+        counts.append(len(childless))
+    assert counts == [1, 5, 6, 0, 0]
 
 
 @pytest.mark.parametrize("policy", ["best", "first"])
@@ -777,6 +810,24 @@ def _j1_enumerate_run():
     return functools.partial(run, cfg, mesh, graph, np.full(mesh.n, 2.0), branch_policy="all")
 
 
+def test_boundary_history_gives_every_row_its_flux_offset():
+    # A child is T parent + r*q, so a row's e0 = flux + g*r is a convolution
+    # of its own boundary history: the dense kernel of oracles.boundary_kernel,
+    # built with no rothe code, gives every row's e0 on the j1-enumerate tree
+    # and on a branching nx=10 tree with dead ends.
+    for tree in (_j1_enumerate_run()(), _dead_end_tree()):
+        assert max(tree.branch_counts()) > 90 and not tree.truncated
+        g, h, phi = boundary_kernel(tree.mesh, tree.config.tau, len(tree.levels) - 1,
+                                    tree.levels[0].first)
+        history = np.zeros((1, 0))
+        for k, level in enumerate(tree.levels[1:], start=1):
+            history = history[level.parent]  # r_1..r_{k-1} along each row's path
+            e0 = phi[k - 1] + history @ h[:k - 1][::-1]
+            err = np.abs(level.flux + g * level.r - e0) / np.maximum(1.0, np.abs(e0))
+            assert err.max() <= 1e-12, (k, err.max())
+            history = np.concatenate((history, level.r[:, None]), axis=1)
+
+
 def test_run_keeps_the_step_block_of_a_whole_level():
     # Above its finished tree, run() holds the level it steps from, the step's
     # scratch and its children: 5.0 widest-level blocks on j1-enumerate, whose
@@ -871,7 +922,7 @@ def test_replayed_states_are_the_stepped_states(monkeypatch):
     trees = [_row_zero_dies_tree(), _row_zero_dies_tree(forcing), _row_zero_cut_tree()]
     monkeypatch.undo()
     assert [t.branch_counts()[-1] for t, _ in trees] == [2, 2, 128]
-    assert trees[2][0].truncated and not trees[2][0].terminated
+    assert trees[2][0].truncated and "-" not in [f[2] for f in trees[2][0].step_failures]
     for (tree, graph), f in zip(trees, (None, forcing, None)):
         assert check_tree(tree, graph, f=f) == sum(tree.branch_counts()[1:])
         stacks = list(tree.level_states())
